@@ -17,6 +17,7 @@ const char* to_string(EpochSeal reason) noexcept {
     case EpochSeal::kCheckpoint: return "checkpoint";
     case EpochSeal::kFinalize: return "finalize";
     case EpochSeal::kReplay: return "replay";
+    case EpochSeal::kVolume: return "volume";
   }
   return "?";
 }
@@ -24,7 +25,8 @@ const char* to_string(EpochSeal reason) noexcept {
 EpochSeal epoch_seal_from_string(const std::string& s) {
   for (const EpochSeal r :
        {EpochSeal::kAccesses, EpochSeal::kBatches, EpochSeal::kTimer,
-        EpochSeal::kCheckpoint, EpochSeal::kFinalize, EpochSeal::kReplay}) {
+        EpochSeal::kCheckpoint, EpochSeal::kFinalize, EpochSeal::kReplay,
+        EpochSeal::kVolume}) {
     if (s == to_string(r)) return r;
   }
   throw std::runtime_error("unknown epoch seal reason '" + s + "'");
@@ -61,8 +63,6 @@ std::string EpochTimeline::label_of(std::uint32_t loop) const {
   return "loop#" + std::to_string(loop);
 }
 
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
-
 namespace {
 
 std::uint64_t steady_now_ns() noexcept {
@@ -84,32 +84,37 @@ constexpr std::uint32_t kMaxCountStride = 64;
 
 FlightRecorder::FlightRecorder(FlightRecorderOptions options,
                                support::MemoryTracker* tracker)
-    : options_(options), enabled_(options.enabled()), tracker_(tracker) {
-  if (!enabled_) return;  // disabled: allocate nothing, ever
+    : options_(options),
+      active_(options.enabled() || options.phase_window_bytes != 0),
+      tracker_(tracker) {
+  if (!active_) return;  // inactive: allocate nothing, ever
   gen_ = g_recorder_gen.fetch_add(1, std::memory_order_relaxed) + 1;
   // Coalescing stride: never wider than 1/16th of the access granularity, so
   // every_accesses <= 16 counts exactly (the trigger-precision tests) while
-  // coarse real-run settings get the full contention reduction. Batch- or
-  // timer-only recorders have no access trigger to blur; use the full width.
+  // coarse real-run settings get the full contention reduction. Recorders
+  // without an access trigger have nothing to blur; use the full width.
   stride_ = kMaxCountStride;
   if (options_.every_accesses != 0) {
     stride_ = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
         options_.every_accesses / 16, 1, kMaxCountStride));
   }
-  if (options_.capacity == 0) options_.capacity = kDefaultEpochRing;
-  options_.capacity = std::min(options_.capacity, kMaxEpochRing);
-  window_cells_.assign(static_cast<std::size_t>(options_.threads) *
-                           static_cast<std::size_t>(options_.threads),
-                       0);
-  ring_.reserve(options_.capacity);
-  t0_ns_ = steady_now_ns();
-  last_seal_ns_ = t0_ns_;
-  // Charge the fixed-size storage (dense window + ring slots). Per-epoch
+  const std::size_t n = static_cast<std::size_t>(options_.threads);
+  if (options_.enabled()) {
+    epochs_.capacity = std::min(
+        options_.capacity == 0 ? kDefaultEpochRing : options_.capacity,
+        kMaxEpochRing);
+    epochs_.cells.assign(n * n, 0);
+  }
+  if (options_.phase_window_bytes != 0) {
+    phases_.capacity = kMaxEpochRing;
+    phases_.cells.assign(n * n, 0);
+  }
+  last_seal_ns_.store(steady_now_ns(), std::memory_order_relaxed);
+  // Charge the dense windows now and each ring slot as it fills. Per-epoch
   // sparse cell payloads are bounded by capacity * threads^2 but typically
   // tiny; they ride untracked like the tracer's static rings.
-  tracked_bytes_ = window_cells_.size() * sizeof(std::uint64_t) +
-                   static_cast<std::uint64_t>(options_.capacity) *
-                       sizeof(EpochSample);
+  tracked_bytes_ =
+      (epochs_.cells.size() + phases_.cells.size()) * sizeof(std::uint64_t);
   if (tracker_ != nullptr) tracker_->add(tracked_bytes_);
 }
 
@@ -121,7 +126,7 @@ void FlightRecorder::publish_accesses(std::uint32_t batch) noexcept {
   const std::uint64_t n =
       accesses_.fetch_add(batch, std::memory_order_relaxed) + batch;
   if (options_.every_accesses != 0 &&
-      n - window_first_.load(std::memory_order_relaxed) >=
+      n - epochs_.first_access.load(std::memory_order_relaxed) >=
           options_.every_accesses) {
     seal(EpochSeal::kAccesses);
   } else if (options_.every_millis != 0 &&
@@ -135,23 +140,26 @@ void FlightRecorder::publish_accesses(std::uint32_t batch) noexcept {
 
 void FlightRecorder::add(int producer, int consumer, std::uint64_t bytes,
                          instrument::LoopId loop) noexcept {
-  if (!enabled_) return;
+  if (!active_) return;
+  const std::size_t n = static_cast<std::size_t>(options_.threads);
+  const std::size_t idx = static_cast<std::size_t>(producer) * n +
+                          static_cast<std::size_t>(consumer);
+  if (idx >= n * n) return;
   std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t idx =
-      static_cast<std::size_t>(producer) *
-          static_cast<std::size_t>(options_.threads) +
-      static_cast<std::size_t>(consumer);
-  if (idx >= window_cells_.size()) return;
-  window_cells_[idx] += bytes;
-  window_bytes_ += bytes;
-  ++window_deps_;
-  for (EpochLoopShare& share : window_loops_) {
-    if (share.loop == loop) {
-      share.bytes += bytes;
-      return;
-    }
+  for (Partition* w : {&epochs_, &phases_}) {
+    if (w->capacity == 0) continue;
+    w->cells[idx] += bytes;
+    w->bytes += bytes;
+    ++w->deps;
+    auto share =
+        std::find_if(w->loops.begin(), w->loops.end(),
+                     [loop](const EpochLoopShare& s) { return s.loop == loop; });
+    if (share == w->loops.end()) share = w->loops.insert(share, {loop, 0});
+    share->bytes += bytes;
   }
-  window_loops_.push_back(EpochLoopShare{loop, bytes});
+  if (phases_.capacity != 0 && phases_.bytes >= options_.phase_window_bytes) {
+    seal_phase_locked(EpochSeal::kVolume);
+  }
 }
 
 void FlightRecorder::seal(EpochSeal reason) noexcept {
@@ -161,7 +169,7 @@ void FlightRecorder::seal(EpochSeal reason) noexcept {
   switch (reason) {
     case EpochSeal::kAccesses:
       if (accesses_.load(std::memory_order_relaxed) -
-              window_first_.load(std::memory_order_relaxed) <
+              epochs_.first_access.load(std::memory_order_relaxed) <
           options_.every_accesses) {
         return;
       }
@@ -174,7 +182,7 @@ void FlightRecorder::seal(EpochSeal reason) noexcept {
       }
       break;
     case EpochSeal::kTimer:
-      if (steady_now_ns() - last_seal_ns_ <
+      if (steady_now_ns() - last_seal_ns_.load(std::memory_order_relaxed) <
           static_cast<std::uint64_t>(options_.every_millis) * 1000000ULL) {
         return;
       }
@@ -182,113 +190,150 @@ void FlightRecorder::seal(EpochSeal reason) noexcept {
     default:
       break;
   }
-  seal_locked(reason);
+  seal_epoch_locked(reason);
 }
 
 void FlightRecorder::timer_tick() noexcept {
-  if (steady_now_ns() - last_seal_ns_ >=
+  if (steady_now_ns() - last_seal_ns_.load(std::memory_order_relaxed) >=
       static_cast<std::uint64_t>(options_.every_millis) * 1000000ULL) {
     seal(EpochSeal::kTimer);
   }
 }
 
 void FlightRecorder::flush(EpochSeal reason) noexcept {
-  if (!enabled_) return;
+  if (!active_) return;
   std::lock_guard<std::mutex> lock(mu_);
   // An explicit boundary with nothing behind it (no access advanced, no
   // dependency recorded) would create an empty epoch per checkpoint; skip.
-  if (window_deps_ == 0 &&
-      accesses_.load(std::memory_order_relaxed) ==
-          window_first_.load(std::memory_order_relaxed)) {
-    return;
+  if (epochs_.capacity != 0 &&
+      (epochs_.deps != 0 ||
+       accesses_.load(std::memory_order_relaxed) !=
+           epochs_.first_access.load(std::memory_order_relaxed))) {
+    seal_epoch_locked(reason);
   }
-  seal_locked(reason);
+  if (reason == EpochSeal::kFinalize && phases_.bytes != 0) {
+    seal_phase_locked(reason);
+  }
 }
 
-void FlightRecorder::seal_locked(EpochSeal reason) {
+void FlightRecorder::seal_epoch_locked(EpochSeal reason) {
   if (reason == EpochSeal::kAccesses && options_.replay) {
     reason = EpochSeal::kReplay;
   }
-  EpochSample e;
-  e.index = sealed_;
-  e.first_access = window_first_.load(std::memory_order_relaxed);
-  e.last_access = accesses_.load(std::memory_order_relaxed);
-  e.dependencies = window_deps_;
-  e.bytes = window_bytes_;
-  e.reason = reason;
-  if (options_.perf != nullptr) {
-    // One boundary read partitions the hardware counts exactly like the
-    // matrix delta: everything since the previous seal lands in this epoch.
-    e.perf = options_.perf->window_delta();
+  // One boundary read partitions the hardware counts exactly like the
+  // matrix delta: everything since the previous seal lands in this epoch.
+  const telemetry::PerfDelta perf = options_.perf != nullptr
+                                        ? options_.perf->window_delta()
+                                        : telemetry::PerfDelta{};
+  if (seal_locked(epochs_, reason, accesses_.load(std::memory_order_relaxed),
+                  perf)) {
+    telemetry::counter("recorder.overwrites").add(1);
   }
+  telemetry::counter("recorder.epochs").add(1);
+  telemetry::Tracer::instant("epoch_seal", telemetry::SpanCat::kEpoch);
+  window_first_batch_.store(batches_.load(std::memory_order_relaxed),
+                            std::memory_order_relaxed);
+  last_seal_ns_.store(steady_now_ns(), std::memory_order_relaxed);
+}
+
+void FlightRecorder::seal_phase_locked(EpochSeal reason) {
+  const TlPending& tl = pending_slot();
+  const std::uint64_t mine = tl.gen == gen_ ? tl.pending : 0;
+  // The previous boundary may include a count another thread has not
+  // published yet; a window never ends before it starts.
+  const std::uint64_t last =
+      std::max(accesses_.load(std::memory_order_relaxed) + mine,
+               phases_.first_access.load(std::memory_order_relaxed));
+  seal_locked(phases_, reason, last, {});
+}
+
+bool FlightRecorder::seal_locked(Partition& w, EpochSeal reason,
+                                 std::uint64_t last_access,
+                                 const telemetry::PerfDelta& perf) {
+  EpochSample e;
+  e.index = w.sealed++;
+  e.first_access = w.first_access.load(std::memory_order_relaxed);
+  e.last_access = last_access;
+  e.dependencies = w.deps;
+  e.bytes = w.bytes;
+  e.reason = reason;
+  e.perf = perf;
   const int n = options_.threads;
   for (int p = 0; p < n; ++p) {
     for (int c = 0; c < n; ++c) {
       const std::uint64_t v =
-          window_cells_[static_cast<std::size_t>(p) *
-                            static_cast<std::size_t>(n) +
-                        static_cast<std::size_t>(c)];
+          w.cells[static_cast<std::size_t>(p) * static_cast<std::size_t>(n) +
+                  static_cast<std::size_t>(c)];
       if (v != 0) {
         e.cells.push_back(EpochCell{static_cast<std::uint16_t>(p),
                                     static_cast<std::uint16_t>(c), v});
       }
     }
   }
-  std::sort(window_loops_.begin(), window_loops_.end(),
+  std::sort(w.loops.begin(), w.loops.end(),
             [](const EpochLoopShare& a, const EpochLoopShare& b) {
               return a.loop < b.loop;
             });
-  e.loops = std::move(window_loops_);
+  e.loops = std::move(w.loops);
 
-  if (ring_kept_ < options_.capacity) {
-    ring_.push_back(std::move(e));
-    ++ring_kept_;
-  } else {
-    // Overwrite-and-count, the tracer's contract: the ring is bounded, the
-    // loss is visible, the newest history always survives.
-    ring_[ring_head_] = std::move(e);
-    ring_head_ = (ring_head_ + 1) % options_.capacity;
-    ++dropped_;
-    telemetry::counter("recorder.overwrites").add(1);
+  w.loops = {};
+  std::fill(w.cells.begin(), w.cells.end(), 0);
+  w.bytes = 0;
+  w.deps = 0;
+  w.first_access.store(last_access, std::memory_order_relaxed);
+
+  if (w.ring.size() < w.capacity) {
+    w.ring.push_back(std::move(e));
+    tracked_bytes_ += sizeof(EpochSample);
+    if (tracker_ != nullptr) tracker_->add(sizeof(EpochSample));
+    return false;
   }
-  ++sealed_;
-  telemetry::counter("recorder.epochs").add(1);
-  telemetry::Tracer::instant("epoch_seal", telemetry::SpanCat::kEpoch);
-
-  window_loops_ = {};
-  std::fill(window_cells_.begin(), window_cells_.end(), 0);
-  window_bytes_ = 0;
-  window_deps_ = 0;
-  window_first_.store(accesses_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  window_first_batch_.store(batches_.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
-  last_seal_ns_ = steady_now_ns();
+  // Overwrite-and-count, the tracer's contract: the ring is bounded, the
+  // loss is visible, the newest history always survives.
+  w.ring[w.head] = std::move(e);
+  w.head = (w.head + 1) % w.capacity;
+  ++w.dropped;
+  return true;
 }
 
 std::uint64_t FlightRecorder::epochs_sealed() const noexcept {
   std::lock_guard<std::mutex> lock(mu_);
-  return sealed_;
+  return epochs_.sealed;
 }
 
 std::uint64_t FlightRecorder::epochs_dropped() const noexcept {
   std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
+  return epochs_.dropped;
+}
+
+std::uint64_t FlightRecorder::phase_windows_dropped() const noexcept {
+  std::lock_guard<std::mutex> lock(mu_);
+  return phases_.dropped;
+}
+
+EpochTimeline FlightRecorder::copy_ring(const Partition& w) const {
+  EpochTimeline t;
+  t.threads = options_.threads;
+  t.sealed = w.sealed;
+  t.dropped = w.dropped;
+  t.epochs.reserve(w.ring.size());
+  // head stays 0 until the ring is full, so this is oldest-first either way.
+  for (std::size_t i = 0; i < w.ring.size(); ++i) {
+    t.epochs.push_back(w.ring[(w.head + i) % w.ring.size()]);
+  }
+  return t;
+}
+
+EpochTimeline FlightRecorder::phase_windows() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return copy_ring(phases_);
 }
 
 EpochTimeline FlightRecorder::timeline() const {
   EpochTimeline t;
-  t.threads = options_.threads;
-  if (!enabled_) return t;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    t.sealed = sealed_;
-    t.dropped = dropped_;
-    t.epochs.reserve(ring_kept_);
-    const std::size_t oldest = ring_kept_ < options_.capacity ? 0 : ring_head_;
-    for (std::size_t i = 0; i < ring_kept_; ++i) {
-      t.epochs.push_back(ring_[(oldest + i) % ring_kept_]);
-    }
+    t = copy_ring(epochs_);
   }
   // Resolve loop labels outside the lock (registry takes its own mutex).
   std::vector<std::uint32_t> ids;
@@ -307,7 +352,5 @@ EpochTimeline FlightRecorder::timeline() const {
   }
   return t;
 }
-
-#endif  // !COMMSCOPE_TELEMETRY_DISABLED
 
 }  // namespace commscope::core

@@ -16,19 +16,25 @@
 // the ring to a sidecar file so epochs survive crashes alongside the
 // checkpoint itself.
 //
+// A second partition of the same dependency stream holds phase windows
+// (Section V.A.4), sealed right after the dependency that fills a fixed
+// volume and at finalize. enabled(), epochs_sealed(), the sidecar, the
+// recorder.* counters and the hardware counter deltas see epochs only.
+//
 // Cost model mirrors the tracer:
-//   * Disabled (all triggers zero, the default): enabled() is one branch on
-//     a plain bool; nothing is allocated, ever.
-//   * Enabled: count_access() increments a thread-local counter and touches
+//   * Inactive (no epoch trigger, no phase volume — the default): the hot
+//     path is one branch on a plain bool; nothing is allocated, ever.
+//   * Active: count_access() increments a thread-local counter and touches
 //     the shared atomic only once per `stride_` events (stride adapts to the
 //     epoch granularity, so fine-grained triggers stay exact while coarse
 //     ones avoid cache-line ping-pong between counting threads); add()
 //     (dependencies only — orders of magnitude rarer than accesses) takes
-//     the same mutex PhaseTracker takes.
-//   * -DCOMMSCOPE_TELEMETRY=OFF: the recording API compiles to the same
-//     no-op shape as the tracer; only the offline data model and IO remain.
+//     one mutex that covers both partitions.
+//   * Memory: each partition's dense window is charged to the tracker at
+//     construction, each ring slot when a sealed sample first occupies it.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -50,6 +56,7 @@ enum class EpochSeal : std::uint8_t {
   kCheckpoint,  ///< GuardedSink checkpoint boundary
   kFinalize,    ///< end of run
   kReplay,      ///< fixed-count re-slice of an existing trace
+  kVolume,      ///< a phase window reached its communication volume
 };
 
 [[nodiscard]] const char* to_string(EpochSeal reason) noexcept;
@@ -121,6 +128,9 @@ struct FlightRecorderOptions {
   std::uint32_t every_batches = 0;   ///< seal every K drained batches; 0 = off
   std::uint32_t every_millis = 0;    ///< seal every T milliseconds; 0 = off
   std::uint32_t capacity = 0;        ///< ring size; 0 = default when enabled
+  /// Phase partition: seal a window right after the dependency that brings
+  /// its volume to this many bytes; 0 = off. Not an epoch trigger.
+  std::uint64_t phase_window_bytes = 0;
   /// Re-slice mode (`commscope replay --epochs=N`): access-trigger seals are
   /// stamped kReplay so a re-sliced timeline is distinguishable from a live
   /// recording.
@@ -131,6 +141,7 @@ struct FlightRecorderOptions {
   /// comm-matrix deltas do.
   telemetry::PerfCounters* perf = nullptr;
 
+  /// True when an epoch trigger is set (the phase volume is not one).
   [[nodiscard]] bool enabled() const noexcept {
     return every_accesses != 0 || every_batches != 0 || every_millis != 0;
   }
@@ -138,16 +149,16 @@ struct FlightRecorderOptions {
 
 /// Default ring capacity when a trigger is set but no capacity was given.
 inline constexpr std::uint32_t kDefaultEpochRing = 512;
-/// Hard ring ceiling (the recorder is bounded by contract).
+/// Hard ring ceiling (the recorder is bounded by contract); phase windows
+/// always use it.
 inline constexpr std::uint32_t kMaxEpochRing = 1u << 20;
-
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
 
 class FlightRecorder {
  public:
-  /// A disabled recorder (no trigger set) allocates nothing and its hot-path
-  /// calls reduce to one branch. `tracker` (optional) is charged for the
-  /// dense accumulation window so Figure 5 numbers stay honest.
+  /// An inactive recorder (no epoch trigger, no phase volume) allocates
+  /// nothing and its hot-path calls reduce to one branch. `tracker`
+  /// (optional) is charged for the dense windows and the occupied ring slots
+  /// so Figure 5 numbers stay honest.
   FlightRecorder(FlightRecorderOptions options,
                  support::MemoryTracker* tracker = nullptr);
   ~FlightRecorder();
@@ -155,7 +166,10 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
+  /// True when the epoch partition records (an epoch trigger is set).
+  [[nodiscard]] bool enabled() const noexcept { return epochs_.capacity != 0; }
+  /// True when either partition records.
+  [[nodiscard]] bool active() const noexcept { return active_; }
 
   /// Counts one raw access event and seals an epoch when the access or
   /// timer trigger is due. Thread-safe. Counts coalesce in a thread-local
@@ -168,8 +182,8 @@ class FlightRecorder {
   /// into the next window's access count (matrix deltas are unaffected —
   /// dependencies flow through add(), not this counter).
   void count_access() noexcept {
-    if (!enabled_) return;
-    thread_local TlPending tl;
+    if (!active_) return;
+    TlPending& tl = pending_slot();
     if (tl.gen != gen_) {
       tl.gen = gen_;
       tl.pending = 0;
@@ -182,7 +196,7 @@ class FlightRecorder {
 
   /// Counts one drained micro-batch; seals when the batch trigger is due.
   void count_batch() noexcept {
-    if (!enabled_ || options_.every_batches == 0) return;
+    if (options_.every_batches == 0) return;
     const std::uint64_t b = batches_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (b - window_first_batch_.load(std::memory_order_relaxed) >=
         options_.every_batches) {
@@ -191,21 +205,30 @@ class FlightRecorder {
   }
 
   /// Feeds one detected dependency attributed to `loop` on the consumer
-  /// side. Thread-safe (mutex, like PhaseTracker::add).
+  /// side into both partitions, sealing the phase window it fills.
+  /// Thread-safe (one mutex).
   void add(int producer, int consumer, std::uint64_t bytes,
            instrument::LoopId loop) noexcept;
 
-  /// Seals the current partial window (if it saw any activity) with an
-  /// explicit reason — the checkpoint/finalize boundary hook.
+  /// Seals the current partial epoch (if it saw any activity) with an
+  /// explicit reason — the checkpoint/finalize boundary hook. kFinalize
+  /// also seals the open phase window when it holds bytes.
   void flush(EpochSeal reason) noexcept;
 
-  /// Epochs sealed / overwritten so far.
+  /// Epochs sealed / overwritten so far, and phase windows overwritten.
   [[nodiscard]] std::uint64_t epochs_sealed() const noexcept;
   [[nodiscard]] std::uint64_t epochs_dropped() const noexcept;
+  [[nodiscard]] std::uint64_t phase_windows_dropped() const noexcept;
 
   /// Copy of the surviving history, oldest first, with loop labels resolved
   /// from the process's LoopRegistry.
   [[nodiscard]] EpochTimeline timeline() const;
+
+  /// The phase partition, oldest first, loop labels unresolved. Window
+  /// access counts (last_access - first_access) are exact when one thread
+  /// drives the recorder; otherwise each other thread's pending count (below
+  /// the coalescing stride) may fall into a later window.
+  [[nodiscard]] EpochTimeline phase_windows() const;
 
  private:
   /// Timer-trigger poll granularity: the steady_clock read happens at most
@@ -220,18 +243,48 @@ class FlightRecorder {
     std::uint32_t pending = 0;
   };
 
+  static TlPending& pending_slot() noexcept {
+    thread_local TlPending tl;
+    return tl;
+  }
+
+  /// One windowed-delta partition: the open window plus the ring its sealed
+  /// samples land in. Guarded by mu_; `first_access` is atomic because the
+  /// epoch triggers also read it without the lock.
+  struct Partition {
+    std::uint32_t capacity = 0;           ///< ring ceiling; 0 = off
+    std::vector<std::uint64_t> cells;     ///< dense n*n delta
+    std::vector<EpochLoopShare> loops;    ///< unsorted, linear scan
+    std::uint64_t bytes = 0;
+    std::uint64_t deps = 0;
+    std::atomic<std::uint64_t> first_access{0};
+    std::uint64_t sealed = 0;
+    std::uint64_t dropped = 0;
+    std::vector<EpochSample> ring;  ///< grows to capacity, then ring order
+    std::size_t head = 0;           ///< oldest slot once the ring is full
+  };
+
   /// Adds a coalesced batch to the shared counter and runs the seal/timer
   /// trigger checks (the cold once-per-stride_ half of count_access()).
   void publish_accesses(std::uint32_t batch) noexcept;
 
   void seal(EpochSeal reason) noexcept;
   void timer_tick() noexcept;
-  /// Seals under mu_; trigger reasons re-check their condition inside the
-  /// lock so concurrent crossers produce one epoch, not one each.
-  void seal_locked(EpochSeal reason);
+  /// Seals the open epoch under mu_; trigger reasons re-check their
+  /// condition first (in seal()) so concurrent crossers produce one epoch.
+  void seal_epoch_locked(EpochSeal reason);
+  /// Seals the open phase window under mu_, counting the calling thread's
+  /// unpublished accesses in without publishing them (no epoch moves).
+  void seal_phase_locked(EpochSeal reason);
+  /// Moves `w`'s open window into its ring as a sample ending at
+  /// `last_access` and opens the next window there; returns true when the
+  /// sample overwrote the oldest one.
+  bool seal_locked(Partition& w, EpochSeal reason, std::uint64_t last_access,
+                   const telemetry::PerfDelta& perf);
+  [[nodiscard]] EpochTimeline copy_ring(const Partition& w) const;
 
   FlightRecorderOptions options_;
-  bool enabled_ = false;
+  bool active_ = false;
   support::MemoryTracker* tracker_ = nullptr;
   std::uint64_t tracked_bytes_ = 0;
   std::uint64_t gen_ = 0;     ///< this instance's TlPending generation
@@ -239,43 +292,15 @@ class FlightRecorder {
 
   std::atomic<std::uint64_t> accesses_{0};
   std::atomic<std::uint64_t> batches_{0};
-  /// Access / batch counts at the current window's start (the seal triggers
-  /// compare against these without taking the mutex).
-  std::atomic<std::uint64_t> window_first_{0};
+  /// Batch count at the current epoch's start (the batch trigger compares
+  /// against it without taking the mutex).
   std::atomic<std::uint64_t> window_first_batch_{0};
+  /// Read by the timer poll without the lock, written by every epoch seal.
+  std::atomic<std::uint64_t> last_seal_ns_{0};
 
   mutable std::mutex mu_;
-  std::vector<std::uint64_t> window_cells_;      ///< dense n*n delta
-  std::vector<EpochLoopShare> window_loops_;     ///< unsorted, linear scan
-  std::uint64_t window_bytes_ = 0;
-  std::uint64_t window_deps_ = 0;
-  std::uint64_t sealed_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t t0_ns_ = 0;            ///< construction timebase (timer mode)
-  std::uint64_t last_seal_ns_ = 0;
-  std::vector<EpochSample> ring_;      ///< capacity_ slots, ring order
-  std::size_t ring_head_ = 0;          ///< next slot to write
-  std::size_t ring_kept_ = 0;
+  Partition epochs_;
+  Partition phases_;
 };
-
-#else  // COMMSCOPE_TELEMETRY_DISABLED: recording compiles away entirely —
-       // no ring, no window matrix, no atomics; only the offline data model
-       // above (and epoch_io) remains available.
-
-class FlightRecorder {
- public:
-  explicit FlightRecorder(FlightRecorderOptions,
-                          support::MemoryTracker* = nullptr) noexcept {}
-  [[nodiscard]] bool enabled() const noexcept { return false; }
-  void count_access() noexcept {}
-  void count_batch() noexcept {}
-  void add(int, int, std::uint64_t, instrument::LoopId) noexcept {}
-  void flush(EpochSeal) noexcept {}
-  [[nodiscard]] std::uint64_t epochs_sealed() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t epochs_dropped() const noexcept { return 0; }
-  [[nodiscard]] EpochTimeline timeline() const { return {}; }
-};
-
-#endif  // COMMSCOPE_TELEMETRY_DISABLED
 
 }  // namespace commscope::core

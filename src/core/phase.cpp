@@ -4,46 +4,6 @@
 
 namespace commscope::core {
 
-PhaseTracker::PhaseTracker(int threads, std::uint64_t window_bytes)
-    : threads_(threads), window_bytes_(window_bytes), current_(threads) {}
-
-void PhaseTracker::add(int producer, int consumer, std::uint64_t bytes) {
-  if (!enabled()) return;
-  std::lock_guard lock(mu_);
-  current_.at(producer, consumer) += bytes;
-  current_volume_ += bytes;
-  if (current_volume_ >= window_bytes_) {
-    const std::uint64_t seen = accesses_.load(std::memory_order_relaxed);
-    windows_.push_back(current_);
-    window_accesses_.push_back(seen - accesses_at_window_start_);
-    accesses_at_window_start_ = seen;
-    current_ = Matrix(threads_);
-    current_volume_ = 0;
-  }
-}
-
-void PhaseTracker::flush() {
-  std::lock_guard lock(mu_);
-  if (current_volume_ > 0) {
-    const std::uint64_t seen = accesses_.load(std::memory_order_relaxed);
-    windows_.push_back(current_);
-    window_accesses_.push_back(seen - accesses_at_window_start_);
-    accesses_at_window_start_ = seen;
-    current_ = Matrix(threads_);
-    current_volume_ = 0;
-  }
-}
-
-std::vector<Matrix> PhaseTracker::timeline() const {
-  std::lock_guard lock(mu_);
-  return windows_;
-}
-
-std::vector<std::uint64_t> PhaseTracker::window_accesses() const {
-  std::lock_guard lock(mu_);
-  return window_accesses_;
-}
-
 std::vector<double> offset_signature(const Matrix& m) {
   const int n = m.size();
   std::vector<double> sig(static_cast<std::size_t>(n), 0.0);

@@ -6,16 +6,14 @@
 // produce one static whole-program pattern get multi-phase programs wrong;
 // DiscoPoP "fully supports this feature".
 //
-// PhaseTracker slices the dependency stream into fixed-communication-volume
-// windows: each window accumulates its own delta matrix; when the window
-// fills, the delta is snapshotted onto a timeline. detect_phases() then
-// merges consecutive windows whose matrices are cosine-similar, yielding the
-// program's communication phases and their transition points.
+// The flight recorder's phase partition (ProfilerOptions::phase_window_bytes)
+// slices the dependency stream into fixed-communication-volume windows, each
+// with its own delta matrix (Profiler::phase_timeline()). detect_phases()
+// then merges consecutive windows whose matrices are cosine-similar, yielding
+// the program's communication phases and their transition points.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <mutex>
+#include <cstddef>
 #include <vector>
 
 #include "core/comm_matrix.hpp"
@@ -27,46 +25,6 @@ struct Phase {
   std::size_t first_window = 0;
   std::size_t last_window = 0;  ///< inclusive
   Matrix pattern;               ///< summed matrix over the run
-};
-
-class PhaseTracker {
- public:
-  /// `threads`: matrix dimension. `window_bytes`: communication volume per
-  /// window; 0 disables tracking entirely (zero overhead on the hot path
-  /// beyond one predictable branch).
-  PhaseTracker(int threads, std::uint64_t window_bytes);
-
-  [[nodiscard]] bool enabled() const noexcept { return window_bytes_ > 0; }
-
-  /// Feeds one detected dependency. Thread-safe.
-  void add(int producer, int consumer, std::uint64_t bytes);
-
-  /// Counts one raw memory access (communicating or not); gives each window
-  /// a denominator for communication *intensity* (bytes per access), the
-  /// quantity the DVFS advisor uses to find communication-bound phases.
-  void count_access() noexcept {
-    if (enabled()) accesses_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Flushes the current partial window onto the timeline.
-  void flush();
-
-  /// Windows snapshotted so far (flush() first for the tail).
-  [[nodiscard]] std::vector<Matrix> timeline() const;
-
-  /// Raw-access count per window, index-aligned with timeline().
-  [[nodiscard]] std::vector<std::uint64_t> window_accesses() const;
-
- private:
-  int threads_;
-  std::uint64_t window_bytes_;
-  std::atomic<std::uint64_t> accesses_{0};
-  mutable std::mutex mu_;
-  Matrix current_;
-  std::uint64_t current_volume_ = 0;
-  std::uint64_t accesses_at_window_start_ = 0;
-  std::vector<Matrix> windows_;
-  std::vector<std::uint64_t> window_accesses_;
 };
 
 /// Window-comparison metric for phase segmentation.

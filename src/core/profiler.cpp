@@ -26,7 +26,6 @@ Profiler::Profiler(ProfilerOptions options)
     : options_(options),
       backend_(make_backend(options, &memory_)),
       tree_(options.max_threads, &memory_, options.sparse_region_matrices),
-      phases_(options.max_threads, options.phase_window_bytes),
       perf_(options.perf
                 ? std::make_unique<telemetry::PerfCounters>(
                       telemetry::PerfCountersOptions{
@@ -38,6 +37,7 @@ Profiler::Profiler(ProfilerOptions options)
                                       options.epoch_batches,
                                       options.epoch_millis,
                                       options.epoch_ring,
+                                      options.phase_window_bytes,
                                       options.epoch_replay,
                                       perf_.get()},
                 &memory_),
@@ -115,7 +115,6 @@ void Profiler::on_access(int tid, std::uintptr_t addr, std::uint32_t size,
 void Profiler::ingest_one(int tid, ThreadCtx& c, std::uintptr_t addr,
                           std::uint32_t size, instrument::AccessKind kind) {
   ++c.accesses;
-  phases_.count_access();
   recorder_.count_access();
 
   if (kind == instrument::AccessKind::kWrite) {
@@ -159,7 +158,6 @@ void Profiler::ingest_one(int tid, ThreadCtx& c, std::uintptr_t addr,
     ++c.dependencies;
     RegionNode* region = c.stack.back();
     region->matrix().add(*producer, tid, size);
-    phases_.add(*producer, tid, size);
     recorder_.add(*producer, tid, size, region->loop());
   }
 }
@@ -194,21 +192,19 @@ void Profiler::flush_batch(int tid) {
     c.writes += r.writes;
     c.reads += n - r.writes;
     c.dependencies += r.deps;
-    if (phases_.enabled() || recorder_.enabled()) {
+    if (recorder_.active()) {
       // Epoch seals and phase windows snapshot mid-stream, so the per-event
       // counting must interleave with the dependency adds in issue order —
       // exactly as the unbatched path interleaves them. Walking the sorted
       // dependency list with a cursor reproduces that order.
       std::uint32_t d = 0;
       for (std::uint32_t i = 0; i < n; ++i) {
-        phases_.count_access();
         recorder_.count_access();
         if (d < r.deps && dep_evt[d] == i) {
           const int producer = dep_producer[d];
           const std::uint32_t bytes =
               c.batch_meta[i] & ~AsymmetricDetector::kMetaWriteBit;
           region->matrix().add(producer, tid, bytes);
-          phases_.add(producer, tid, bytes);
           recorder_.add(producer, tid, bytes, region->loop());
           ++d;
         }
@@ -260,7 +256,6 @@ void Profiler::finalize() {
       perf_boundary(t, ctx(t));
     }
   }
-  phases_.flush();
   recorder_.flush(EpochSeal::kFinalize);
   // Stamp the run's aggregate accounting into the process-wide telemetry
   // registry. Gauges (not counters): a process can finalize several

@@ -24,7 +24,6 @@
 
 #include "core/comm_matrix.hpp"
 #include "core/flight_recorder.hpp"
-#include "core/phase.hpp"
 #include "core/raw_detector.hpp"
 #include "core/region_tree.hpp"
 #include "instrument/sink.hpp"
@@ -52,6 +51,7 @@ struct ProfilerOptions {
   double fp_rate = 0.001;
   Backend backend = Backend::kAsymmetricSignature;
   /// Phase-window volume in communicated bytes; 0 disables phase tracking.
+  /// Not an epoch trigger: the recorder keeps phase windows apart.
   std::uint64_t phase_window_bytes = 0;
   /// Also classify WAR/WAW/RAR dependencies (the full DiscoPoP dependence
   /// set, Section III.B). Exact with the exact backend; approximate with the
@@ -74,8 +74,8 @@ struct ProfilerOptions {
   /// unbatched path because events stay in per-thread issue order.
   std::uint32_t batch_size = 0;
   /// Flight-recorder epoch triggers (time-resolved communication). All zero
-  /// (the default) disables the recorder entirely — no ring, no window
-  /// matrix, zero hot-path cost beyond one predicted branch. Any nonzero
+  /// (the default) disables epochs — no ring, no window matrix, and with
+  /// phases off, zero hot-path cost beyond one predicted branch. Any nonzero
   /// trigger arms it: an epoch seals every `epoch_accesses` raw accesses,
   /// every `epoch_batches` drained micro-batches, and/or every
   /// `epoch_millis` milliseconds, whichever fires first.
@@ -175,19 +175,29 @@ class Profiler final : public instrument::AccessSink {
 
   [[nodiscard]] const RegionTree& regions() const noexcept { return tree_; }
 
-  /// Phase timeline (empty unless phase_window_bytes was set).
+  /// Phase timeline (empty unless phase_window_bytes was set): the dense
+  /// delta of each of the recorder's phase windows.
   [[nodiscard]] std::vector<Matrix> phase_timeline() const {
-    return phases_.timeline();
+    std::vector<Matrix> windows;
+    for (const EpochSample& w : recorder_.phase_windows().epochs) {
+      windows.push_back(w.dense(options_.max_threads));
+    }
+    return windows;
   }
 
-  /// Raw-access counts per phase window, aligned with phase_timeline().
+  /// Raw-access counts per phase window, aligned with phase_timeline()
+  /// (precision: FlightRecorder::phase_windows()).
   [[nodiscard]] std::vector<std::uint64_t> phase_window_accesses() const {
-    return phases_.window_accesses();
+    std::vector<std::uint64_t> accesses;
+    for (const EpochSample& w : recorder_.phase_windows().epochs) {
+      accesses.push_back(w.last_access - w.first_access);
+    }
+    return accesses;
   }
 
-  /// The epoch flight recorder (a disabled stub unless an epoch_* trigger
-  /// was set). GuardedSink uses the mutable handle to force checkpoint
-  /// boundaries and persist the ring.
+  /// The flight recorder (epoch-disabled unless an epoch_* trigger was set;
+  /// it also holds the phase windows). GuardedSink uses the mutable handle
+  /// to force checkpoint boundaries and persist the ring.
   [[nodiscard]] const FlightRecorder& recorder() const noexcept {
     return recorder_;
   }
@@ -308,7 +318,6 @@ class Profiler final : public instrument::AccessSink {
   support::MemoryTracker memory_;
   std::variant<AsymmetricDetector, sigmem::ExactSignature> backend_;
   RegionTree tree_;
-  PhaseTracker phases_;
   // Declared before recorder_: the recorder's options capture perf_.get(),
   // so the engine must outlive (and be constructed before) the recorder.
   std::unique_ptr<telemetry::PerfCounters> perf_;

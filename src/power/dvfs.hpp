@@ -68,7 +68,10 @@ struct DvfsPlan {
 /// Builds a frequency plan for a phase-segmented timeline. `windows` and
 /// `accesses` come from Profiler::phase_timeline() /
 /// phase_window_accesses(); phases are segmented internally with the
-/// scheduling-robust offset metric.
+/// scheduling-robust offset metric. `accesses` is exact in a single-thread
+/// replay; in a live run a window may miss up to stride - 1 events per
+/// other thread (the flight recorder's coalescing stride, at most 64), which
+/// then count toward a later window.
 [[nodiscard]] DvfsPlan plan_dvfs(const std::vector<core::Matrix>& windows,
                                  const std::vector<std::uint64_t>& accesses,
                                  const DvfsOptions& options = {});

@@ -531,6 +531,22 @@ TEST(CliRecorder, CheckpointWritesEpochSidecar) {
   std::remove((ck + ".epochs").c_str());
 }
 
+TEST(CliRecorder, PhasesAloneWriteNoEpochSidecar) {
+  // Phase windows are the recorder's second partition, not an epoch
+  // trigger: the checkpoint is written, the epoch sidecar is not.
+  const std::string ck = "/tmp/commscope_cli_phase_sidecar.ck";
+  std::remove((ck + ".epochs").c_str());
+  const RunResult r =
+      run_cli("run fft --threads=4 --phases=4096 --checkpoint=" + ck);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("phases detected:"), std::string::npos);
+  EXPECT_TRUE(std::ifstream(ck).good()) << "no checkpoint written";
+  EXPECT_FALSE(std::ifstream(ck + ".epochs").good())
+      << "--phases alone wrote an epoch sidecar";
+  std::remove(ck.c_str());
+  std::remove((ck + ".epochs").c_str());
+}
+
 TEST(CliRecorder, BenchDiffGateCatchesInjectedRegression) {
   const std::string base = "/tmp/commscope_cli_bench_base.json";
   const std::string slow = "/tmp/commscope_cli_bench_slow.json";

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/epoch_io.hpp"
@@ -281,7 +282,6 @@ TEST(Differential, SparseRegionMatricesBitIdentical) {
 }
 
 // --- flight-recorder differential (label: recorder) ------------------------
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
 
 // The epoch timeline is a sparse re-encoding of the same dependency stream
 // the whole-program matrix accumulates: with nothing overwritten out of the
@@ -330,7 +330,90 @@ TEST(Differential, EpochTimelineBitIdenticalAcrossBatchSizes) {
   }
 }
 
-#endif  // !COMMSCOPE_TELEMETRY_DISABLED
+// Phase windows are the recorder's volume-sealed partition. The reference
+// rebuilds them without it: replay the trace with one epoch per access, then
+// regroup those per-access deltas by volume as the phase contract states — a
+// window ends right after the dependency that fills it, and the tail ends at
+// finalize when it holds bytes.
+namespace {
+
+struct PhaseReference {
+  std::vector<cc::Matrix> windows;
+  std::vector<std::uint64_t> accesses;
+};
+
+PhaseReference regroup_by_volume(const std::vector<Op>& ops,
+                                 cc::ProfilerOptions o,
+                                 std::uint64_t window_bytes) {
+  o.phase_window_bytes = 0;
+  o.epoch_accesses = 1;
+  o.epoch_ring = cc::kMaxEpochRing;
+  const auto prof = replay(ops, o);
+  const cc::EpochTimeline t = prof->epoch_timeline();
+  EXPECT_EQ(t.dropped, 0u);
+  PhaseReference ref;
+  cc::Matrix window(o.max_threads);
+  std::uint64_t volume = 0;
+  std::uint64_t start = 0;
+  for (const cc::EpochSample& e : t.epochs) {
+    // A seal per access: the epoch opened by access #k (first_access == k)
+    // holds that access's dependency, if it had one.
+    if (e.dependencies == 0) continue;
+    window += e.dense(o.max_threads);
+    volume += e.bytes;
+    if (volume >= window_bytes) {
+      ref.windows.push_back(window);
+      ref.accesses.push_back(e.first_access - start);
+      start = e.first_access;
+      window = cc::Matrix(o.max_threads);
+      volume = 0;
+    }
+  }
+  if (volume > 0) {
+    ref.windows.push_back(window);
+    ref.accesses.push_back(prof->stats().accesses - start);
+  }
+  return ref;
+}
+
+}  // namespace
+
+TEST(Differential, PhaseWindowsMatchFixedVolumeRegrouping) {
+  const struct { std::uint64_t seed; int threads; } grid[] = {
+      {101, 2}, {202, 4}, {303, 8}, {404, 4},
+  };
+  for (const auto& g : grid) {
+    TraceShape shape;
+    shape.threads = g.threads;
+    const auto ops = make_trace(g.seed, shape);
+    for (const auto backend :
+         {cc::Backend::kAsymmetricSignature, cc::Backend::kExact}) {
+      for (const std::uint64_t width : {64u, 256u}) {
+        const PhaseReference want =
+            regroup_by_volume(ops, base_options(backend, g.threads), width);
+        ASSERT_GT(want.windows.size(), 1u) << "no volume seal; test is vacuous";
+        for (const std::uint32_t b : {0u, 1u, 2u, 7u, 64u, 256u}) {
+          auto o = base_options(backend, g.threads);
+          o.phase_window_bytes = width;
+          o.batch_size = b;
+          const auto got = replay(ops, o);
+          SCOPED_TRACE(case_name(g.seed, g.threads, b) +
+                       " width=" + std::to_string(width) + " backend=" +
+                       (backend == cc::Backend::kExact ? "exact" : "sig"));
+          EXPECT_EQ(got->phase_window_accesses(), want.accesses);
+          const std::vector<cc::Matrix> windows = got->phase_timeline();
+          ASSERT_EQ(windows.size(), want.windows.size());
+          for (std::size_t i = 0; i < windows.size(); ++i) {
+            EXPECT_TRUE(windows[i] == want.windows[i]) << "phase window " << i;
+          }
+          // Phases alone leave the epoch partition off.
+          EXPECT_FALSE(got->recorder().enabled());
+          EXPECT_EQ(got->recorder().epochs_sealed(), 0u);
+        }
+      }
+    }
+  }
+}
 
 // --- cross-ISA determinism (label: differential) ----------------------------
 //

@@ -263,10 +263,10 @@ TEST(PerfEngine, RealCountersWhenHostAllows) {
   pc.attach_current_thread(0);
   if (!pc.available()) GTEST_SKIP() << "perf unavailable on this host";
   volatile std::uint64_t sink = 0;
-  for (int i = 0; i < 200000; ++i) sink += static_cast<std::uint64_t>(i);
+  for (int i = 0; i < 200000; ++i) sink = sink + static_cast<std::uint64_t>(i);
   const ctl::PerfDelta a = pc.read_thread(0);
   EXPECT_TRUE(a.any());
-  for (int i = 0; i < 200000; ++i) sink += static_cast<std::uint64_t>(i);
+  for (int i = 0; i < 200000; ++i) sink = sink + static_cast<std::uint64_t>(i);
   const ctl::PerfDelta b = pc.read_thread(0);
   // Cumulative readings are monotonic for every present slot.
   const ctl::PerfDelta d = b.since(a);

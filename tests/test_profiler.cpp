@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "core/phase.hpp"
 #include "core/profiler.hpp"
 #include "core/thread_load.hpp"
 #include "instrument/loop_scope.hpp"

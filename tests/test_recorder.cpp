@@ -1,10 +1,8 @@
 // Flight-recorder unit suite: seal triggers, the bounded overwrite-and-count
 // ring, sparse-delta fidelity, epoch-file IO under hostile input, the
 // run-to-run diff math behind `commscope diff`, and the report renderers.
-//
-// The live-recorder half is compiled out with the recorder itself under
-// -DCOMMSCOPE_TELEMETRY=OFF; the data model, IO, diff and report halves are
-// unconditional — exactly the split the notelemetry CI preset checks.
+// Everything here runs in the notelemetry build too: the recorder does not
+// depend on the telemetry layer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,7 +32,7 @@ cc::FlightRecorderOptions opts(int threads, std::uint64_t every,
 }
 
 /// Hand-built timeline for the IO/diff/report halves (no live recorder
-/// needed, so these tests run under the notelemetry build too).
+/// needed).
 cc::EpochTimeline make_timeline() {
   cc::EpochTimeline t;
   t.threads = 4;
@@ -60,7 +58,7 @@ cc::EpochTimeline make_timeline() {
 
 }  // namespace
 
-// --- data model (unconditional) --------------------------------------------
+// --- data model -------------------------------------------------------------
 
 TEST(EpochModel, DenseReconstructionMatchesCells) {
   const cc::EpochTimeline t = make_timeline();
@@ -84,13 +82,13 @@ TEST(EpochModel, SealReasonRoundTrip) {
   for (const cc::EpochSeal r :
        {cc::EpochSeal::kAccesses, cc::EpochSeal::kBatches, cc::EpochSeal::kTimer,
         cc::EpochSeal::kCheckpoint, cc::EpochSeal::kFinalize,
-        cc::EpochSeal::kReplay}) {
+        cc::EpochSeal::kReplay, cc::EpochSeal::kVolume}) {
     EXPECT_EQ(cc::epoch_seal_from_string(cc::to_string(r)), r);
   }
   EXPECT_THROW((void)cc::epoch_seal_from_string("bogus"), std::runtime_error);
 }
 
-// --- epoch IO (unconditional) ----------------------------------------------
+// --- epoch IO ---------------------------------------------------------------
 
 TEST(EpochIo, RoundTripPreservesEverything) {
   const cc::EpochTimeline want = make_timeline();
@@ -138,7 +136,7 @@ TEST(EpochIo, RejectsBadMagicTruncationAndCorruption) {
   }
 }
 
-// --- diff math (unconditional) ---------------------------------------------
+// --- diff math --------------------------------------------------------------
 
 TEST(CommDiff, SelfDiffIsExactlyZeroAndClean) {
   const cc::EpochTimeline t = make_timeline();
@@ -264,7 +262,7 @@ TEST(BenchDiff, FloorGatesAbsoluteBatchSpeedup) {
   EXPECT_FALSE(cc::diff_bench(base, batching_lost, 0.25).regressed);
 }
 
-// --- report renderers (unconditional) --------------------------------------
+// --- report renderers -------------------------------------------------------
 
 TEST(TimelineReport, RenderersEmitTheirMarkers) {
   cc::ReportModel model;
@@ -298,9 +296,7 @@ TEST(TimelineReport, EmptyTimelineRendersHint) {
   EXPECT_NE(text.str().find("no epochs recorded"), std::string::npos);
 }
 
-// --- live recorder (compiled out under -DCOMMSCOPE_TELEMETRY=OFF) ----------
-
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
+// --- live recorder ----------------------------------------------------------
 
 TEST(FlightRecorder, DisabledRecorderDoesNothing) {
   cc::FlightRecorder r(opts(4, 0));
@@ -430,4 +426,16 @@ TEST(FlightRecorder, MemoryTrackerChargedAndReleased) {
   EXPECT_EQ(tracker.current(), 0u);
 }
 
-#endif  // !COMMSCOPE_TELEMETRY_DISABLED
+TEST(FlightRecorder, RingChargedPerKeptSample) {
+  commscope::support::MemoryTracker tracker;
+  {
+    cc::FlightRecorder r(opts(2, 1, /*ring=*/3), &tracker);
+    const std::uint64_t window = tracker.current();  // the dense window
+    r.count_access();
+    EXPECT_EQ(tracker.current(), window + sizeof(cc::EpochSample));
+    for (int i = 0; i < 5; ++i) r.count_access();  // 2 more kept, 3 dropped
+    EXPECT_EQ(r.epochs_dropped(), 3u);
+    EXPECT_EQ(tracker.current(), window + 3 * sizeof(cc::EpochSample));
+  }
+  EXPECT_TRUE(tracker.balanced());
+}

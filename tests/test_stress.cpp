@@ -238,44 +238,14 @@ TEST(FlushOrdering, RegistryFlushHooksDrainActiveSink) {
   EXPECT_EQ(prof.stats().accesses, 1u);
 }
 
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
+namespace {
 
-// Epoch ring under thread churn: waves of real threads hammer the profiler
-// (cross-thread RAW traffic included) with an aggressive seal trigger and a
-// tiny ring, with every thread replaced between waves. Whatever the
-// interleaving, the overwrite-and-count contract must hold exactly:
-// sealed == dropped + surviving, surviving indices consecutive and newest.
-TEST(FlushOrdering, EpochRingInvariantsHoldUnderThreadChurn) {
-  cc::ProfilerOptions po = batched_profiler_options();
-  po.epoch_accesses = 64;  // dozens of seals across the run
-  po.epoch_ring = 4;       // force overwrites
-  cc::Profiler prof(po);
-  constexpr int kLanes = 4;
-  for (int wave = 0; wave < 3; ++wave) {  // churn: fresh threads each wave
-    std::vector<std::thread> lanes;
-    for (int t = 0; t < kLanes; ++t) {
-      lanes.emplace_back([&prof, t, wave] {
-        (void)ct::ThreadRegistry::current_tid();
-        prof.on_thread_begin(t);
-        for (int i = 0; i < 400; ++i) {
-          const auto addr = 0x9000u + 8u * static_cast<unsigned>(i % 32);
-          prof.on_access(t, addr, 8,
-                         (i + t + wave) % 3 == 0 ? ci::AccessKind::kWrite
-                                                 : ci::AccessKind::kRead);
-        }
-        prof.on_drain(t);
-      });
-    }
-    for (std::thread& th : lanes) th.join();
-  }
-  prof.finalize();
-
-  const cc::EpochTimeline t = prof.epoch_timeline();
+/// The overwrite-and-count contract of one recorder partition: sealed ==
+/// dropped + surviving, surviving samples newest and consecutively numbered,
+/// access ranges ordered, and every sample's cells summing to its bytes.
+void expect_ring_invariants(const cc::EpochTimeline& t) {
   ASSERT_FALSE(t.epochs.empty());
   EXPECT_EQ(t.sealed, t.dropped + t.epochs.size());
-  EXPECT_GT(t.dropped, 0u) << "ring never overwrote; trigger too lax";
-  EXPECT_LE(t.epochs.size(), 4u);
-  // Surviving epochs are the newest, consecutively numbered, oldest first.
   EXPECT_EQ(t.epochs.back().index + 1, t.sealed);
   for (std::size_t i = 1; i < t.epochs.size(); ++i) {
     EXPECT_EQ(t.epochs[i].index, t.epochs[i - 1].index + 1);
@@ -285,9 +255,77 @@ TEST(FlushOrdering, EpochRingInvariantsHoldUnderThreadChurn) {
     EXPECT_LE(e.first_access, e.last_access);
     std::uint64_t cell_sum = 0;
     for (const cc::EpochCell& c : e.cells) cell_sum += c.bytes;
-    EXPECT_EQ(cell_sum, e.bytes) << "epoch " << e.index;
+    EXPECT_EQ(cell_sum, e.bytes) << "sample " << e.index;
   }
 }
+
+}  // namespace
+
+// Recorder under thread churn: waves of real threads hammer the profiler
+// (cross-thread RAW traffic included) with an aggressive seal trigger and a
+// tiny epoch ring, with every thread replaced between waves. Whatever the
+// interleaving, both partitions keep the overwrite-and-count contract, and
+// the phase windows (never dropped at this scale) sum to the final matrix.
+// The timer case runs long enough for concurrent timer polls to race seals.
+TEST(FlushOrdering, EpochRingInvariantsHoldUnderThreadChurn) {
+  const struct {
+    std::uint64_t every_accesses;
+    std::uint32_t every_millis;
+    std::uint64_t phase_bytes;
+    int per_lane;
+  } cases[] = {
+      {64, 0, 0, 400},
+      {0, 1, 0, 20000},
+      {64, 0, 256, 400},
+  };
+  for (const auto& k : cases) {
+    SCOPED_TRACE("every_accesses=" + std::to_string(k.every_accesses) +
+                 " every_millis=" + std::to_string(k.every_millis) +
+                 " phase_bytes=" + std::to_string(k.phase_bytes));
+    cc::ProfilerOptions po = batched_profiler_options();
+    po.epoch_accesses = k.every_accesses;
+    po.epoch_millis = k.every_millis;
+    po.phase_window_bytes = k.phase_bytes;
+    po.epoch_ring = 4;  // force overwrites
+    cc::Profiler prof(po);
+    constexpr int kLanes = 4;
+    for (int wave = 0; wave < 3; ++wave) {  // churn: fresh threads each wave
+      std::vector<std::thread> lanes;
+      for (int t = 0; t < kLanes; ++t) {
+        lanes.emplace_back([&prof, t, wave, n = k.per_lane] {
+          (void)ct::ThreadRegistry::current_tid();
+          prof.on_thread_begin(t);
+          for (int i = 0; i < n; ++i) {
+            const auto addr = 0x9000u + 8u * static_cast<unsigned>(i % 32);
+            prof.on_access(t, addr, 8,
+                           (i + t + wave) % 3 == 0 ? ci::AccessKind::kWrite
+                                                   : ci::AccessKind::kRead);
+          }
+          prof.on_drain(t);
+        });
+      }
+      for (std::thread& th : lanes) th.join();
+    }
+    prof.finalize();
+
+    const cc::EpochTimeline t = prof.epoch_timeline();
+    expect_ring_invariants(t);
+    EXPECT_LE(t.epochs.size(), 4u);
+    if (k.every_accesses != 0) {
+      EXPECT_GT(t.dropped, 0u) << "ring never overwrote; trigger too lax";
+    }
+    if (k.phase_bytes != 0) {
+      const cc::EpochTimeline phases = prof.recorder().phase_windows();
+      expect_ring_invariants(phases);
+      EXPECT_GT(phases.epochs.size(), 1u);
+      EXPECT_EQ(phases.dropped, 0u);
+      EXPECT_TRUE(phases.total() == prof.communication_matrix())
+          << "phase windows do not sum to the final matrix";
+    }
+  }
+}
+
+#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
 
 // Every trace record since enable() either occupies a ring slot, overwrote
 // one (counted in dropped), or spilled past the ring table (also counted).

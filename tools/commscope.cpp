@@ -567,6 +567,10 @@ int emit_results(const cs::ArgParser& args, cc::Profiler& profiler,
         cc::detect_phases(profiler.phase_timeline(), 0.75,
                           cc::PhaseMetric::kOffsetCosine);
     log << "phases detected: " << phases.size() << "\n";
+    const std::uint64_t dropped = profiler.recorder().phase_windows_dropped();
+    if (dropped > 0) {
+      log << dropped << " oldest phase window(s) overwritten\n";
+    }
     if (args.has("dvfs")) {
       const commscope::power::DvfsPlan plan = commscope::power::plan_dvfs(
           profiler.phase_timeline(), profiler.phase_window_accesses());
