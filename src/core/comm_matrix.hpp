@@ -8,10 +8,12 @@
 // consumed that thread p produced (RAW: p wrote, c read). Rows are producers,
 // columns consumers, matching the axes of Figures 6 and 7.
 //
-// CommMatrix is the concurrent accumulator (relaxed atomic counters, padded
-// to avoid false sharing being a correctness issue — counts only need
-// eventual consistency within one program run). Matrix is the plain value
-// snapshot used by reports, metrics and classifiers.
+// CommMatrix is the concurrent accumulator: relaxed atomic counters, one
+// per cell, packed row-major with no padding. At 4 threads its 16 cells x
+// 8 B fill two cache lines, and every consumer thread writes into them, so
+// consumers falsely share lines. That costs time, not correctness: counts
+// only need eventual consistency within one program run. Matrix is the
+// plain value snapshot used by reports, metrics and classifiers.
 #pragma once
 
 #include <atomic>

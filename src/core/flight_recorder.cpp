@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <stdexcept>
+#include <tuple>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -80,6 +82,14 @@ std::atomic<std::uint64_t> g_recorder_gen{0};
 /// w * threads events — negligible against any practical granularity.
 constexpr std::uint32_t kMaxCountStride = 64;
 
+/// Widest thread-local volume stride, in bytes. Phase windows reach it at
+/// 64 KiB (the stride is 1/64th of the window), where the multi-thread
+/// slack of threads * stride stays a few percent of the window.
+constexpr std::uint64_t kMaxVolumeStride = 1024;
+
+/// uint64 cells per cache line: each shard's cells start a fresh line.
+constexpr std::size_t kCellsPerLine = 64 / sizeof(std::uint64_t);
+
 }  // namespace
 
 FlightRecorder::FlightRecorder(FlightRecorderOptions options,
@@ -98,23 +108,48 @@ FlightRecorder::FlightRecorder(FlightRecorderOptions options,
     stride_ = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
         options_.every_accesses / 16, 1, kMaxCountStride));
   }
-  const std::size_t n = static_cast<std::size_t>(options_.threads);
+  // The volume stride follows the phase window the same way: small windows
+  // publish every dependency, large ones coalesce up to the cap.
+  volume_stride_ = std::clamp<std::uint64_t>(options_.phase_window_bytes / 64,
+                                             1, kMaxVolumeStride);
+  due_ = options_.phase_window_bytes;
   if (options_.enabled()) {
     epochs_.capacity = std::min(
         options_.capacity == 0 ? kDefaultEpochRing : options_.capacity,
         kMaxEpochRing);
-    epochs_.cells.assign(n * n, 0);
   }
-  if (options_.phase_window_bytes != 0) {
-    phases_.capacity = kMaxEpochRing;
-    phases_.cells.assign(n * n, 0);
+  if (options_.phase_window_bytes != 0) phases_.capacity = kMaxEpochRing;
+
+  // One shard per consumer, each owning a run of whole cache lines in
+  // cell_store_ for the columns of the partitions that record.
+  const std::size_t n = static_cast<std::size_t>(options_.threads);
+  const std::size_t columns =
+      (epochs_.capacity != 0 ? 1u : 0u) + (phases_.capacity != 0 ? 1u : 0u);
+  const std::size_t block =
+      (columns * n + kCellsPerLine - 1) / kCellsPerLine * kCellsPerLine;
+  cell_store_.assign(n * block + kCellsPerLine - 1, 0);
+  void* base = cell_store_.data();
+  std::size_t space = cell_store_.size() * sizeof(std::uint64_t);
+  std::uint64_t* cells = static_cast<std::uint64_t*>(
+      std::align(64, n * block * sizeof(std::uint64_t), base, space));
+  shards_ = std::make_unique<Shard[]>(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    Shard& s = shards_[c];
+    s.due = due_;
+    std::uint64_t* next = cells + c * block;
+    for (Partition* w : {&epochs_, &phases_}) {
+      if (w->capacity == 0) continue;
+      s.window[w->column].cells = next;
+      next += n;
+    }
   }
   last_seal_ns_.store(steady_now_ns(), std::memory_order_relaxed);
-  // Charge the dense windows now and each ring slot as it fills. Per-epoch
-  // sparse cell payloads are bounded by capacity * threads^2 but typically
-  // tiny; they ride untracked like the tracer's static rings.
-  tracked_bytes_ =
-      (epochs_.cells.size() + phases_.cells.size()) * sizeof(std::uint64_t);
+  // Charge the shards now and each ring slot as it fills. Per-epoch sparse
+  // cell payloads are bounded by capacity * threads^2 but typically tiny;
+  // they ride untracked like the tracer's static rings, as do the columns'
+  // few loop shares.
+  tracked_bytes_ = n * sizeof(Shard) +
+                   cell_store_.size() * sizeof(std::uint64_t);
   if (tracker_ != nullptr) tracker_->add(tracked_bytes_);
 }
 
@@ -141,25 +176,43 @@ void FlightRecorder::publish_accesses(std::uint32_t batch) noexcept {
 void FlightRecorder::add(int producer, int consumer, std::uint64_t bytes,
                          instrument::LoopId loop) noexcept {
   if (!active_) return;
-  const std::size_t n = static_cast<std::size_t>(options_.threads);
-  const std::size_t idx = static_cast<std::size_t>(producer) * n +
-                          static_cast<std::size_t>(consumer);
-  if (idx >= n * n) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Partition* w : {&epochs_, &phases_}) {
-    if (w->capacity == 0) continue;
-    w->cells[idx] += bytes;
-    w->bytes += bytes;
-    ++w->deps;
-    auto share =
-        std::find_if(w->loops.begin(), w->loops.end(),
-                     [loop](const EpochLoopShare& s) { return s.loop == loop; });
-    if (share == w->loops.end()) share = w->loops.insert(share, {loop, 0});
-    share->bytes += bytes;
+  // Each endpoint on its own: a bound on the flattened index would book
+  // (1, 7) at 4 threads into cell (2, 3).
+  const auto n = static_cast<unsigned>(options_.threads);
+  if (static_cast<unsigned>(producer) >= n ||
+      static_cast<unsigned>(consumer) >= n) {
+    return;
   }
-  if (phases_.capacity != 0 && phases_.bytes >= options_.phase_window_bytes) {
-    seal_phase_locked(EpochSeal::kVolume);
+  Shard& s = shards_[static_cast<std::size_t>(consumer)];
+  bool due = false;
+  {
+    std::lock_guard<std::mutex> lock(s.mu);
+    for (const Partition* w : {&epochs_, &phases_}) {
+      if (w->capacity == 0) continue;
+      Column& col = s.window[w->column];
+      col.cells[producer] += bytes;
+      col.bytes += bytes;
+      ++col.deps;
+      auto share = std::find_if(
+          col.loops.begin(), col.loops.end(),
+          [loop](const EpochLoopShare& x) { return x.loop == loop; });
+      if (share == col.loops.end()) {
+        share = col.loops.insert(share, {loop, 0});
+      }
+      share->bytes += bytes;
+    }
+    if (phases_.capacity != 0) {
+      TlPending& tl = own_slot();
+      tl.volume += bytes;
+      if (tl.volume >= volume_stride_) {
+        tl.seen = volume_.fetch_add(tl.volume, std::memory_order_relaxed) +
+                  tl.volume;
+        tl.volume = 0;
+      }
+      due = tl.seen + tl.volume >= s.due;
+    }
   }
+  if (due) seal_volume();
 }
 
 void FlightRecorder::seal(EpochSeal reason) noexcept {
@@ -193,6 +246,16 @@ void FlightRecorder::seal(EpochSeal reason) noexcept {
   seal_epoch_locked(reason);
 }
 
+void FlightRecorder::seal_volume() noexcept {
+  std::lock_guard<std::mutex> lock(mu_);
+  // The shard's copy of due_ may predate a seal that is still copying the
+  // new one out; only the first thread past the current due_ seals.
+  if (volume_.load(std::memory_order_relaxed) + own_slot().volume < due_) {
+    return;
+  }
+  seal_phase_locked(EpochSeal::kVolume);
+}
+
 void FlightRecorder::timer_tick() noexcept {
   if (steady_now_ns() - last_seal_ns_.load(std::memory_order_relaxed) >=
       static_cast<std::uint64_t>(options_.every_millis) * 1000000ULL) {
@@ -206,12 +269,13 @@ void FlightRecorder::flush(EpochSeal reason) noexcept {
   // An explicit boundary with nothing behind it (no access advanced, no
   // dependency recorded) would create an empty epoch per checkpoint; skip.
   if (epochs_.capacity != 0 &&
-      (epochs_.deps != 0 ||
-       accesses_.load(std::memory_order_relaxed) !=
-           epochs_.first_access.load(std::memory_order_relaxed))) {
+      (accesses_.load(std::memory_order_relaxed) !=
+           epochs_.first_access.load(std::memory_order_relaxed) ||
+       open_sum(epochs_, &Column::deps) != 0)) {
     seal_epoch_locked(reason);
   }
-  if (reason == EpochSeal::kFinalize && phases_.bytes != 0) {
+  if (reason == EpochSeal::kFinalize && phases_.capacity != 0 &&
+      open_sum(phases_, &Column::bytes) != 0) {
     seal_phase_locked(reason);
   }
 }
@@ -238,13 +302,32 @@ void FlightRecorder::seal_epoch_locked(EpochSeal reason) {
 
 void FlightRecorder::seal_phase_locked(EpochSeal reason) {
   const TlPending& tl = pending_slot();
-  const std::uint64_t mine = tl.gen == gen_ ? tl.pending : 0;
+  const bool own = tl.gen == gen_;
+  const std::uint64_t mine = own ? tl.pending : 0;
   // The previous boundary may include a count another thread has not
   // published yet; a window never ends before it starts.
   const std::uint64_t last =
       std::max(accesses_.load(std::memory_order_relaxed) + mine,
                phases_.first_access.load(std::memory_order_relaxed));
+  // The next window is due W bytes past this thread's view of the volume
+  // (exact with one thread), never before the previous one was.
+  const std::uint64_t view =
+      volume_.load(std::memory_order_relaxed) + (own ? tl.volume : 0);
+  due_ = std::max(view, due_ - options_.phase_window_bytes) +
+         options_.phase_window_bytes;
   seal_locked(phases_, reason, last, {});
+}
+
+std::uint64_t FlightRecorder::open_sum(const Partition& w,
+                                       std::uint64_t Column::*field) const {
+  std::uint64_t sum = 0;
+  for (std::size_t c = 0; c < static_cast<std::size_t>(options_.threads);
+       ++c) {
+    Shard& s = shards_[c];
+    std::lock_guard<std::mutex> lock(s.mu);
+    sum += s.window[w.column].*field;
+  }
+  return sum;
 }
 
 bool FlightRecorder::seal_locked(Partition& w, EpochSeal reason,
@@ -254,32 +337,52 @@ bool FlightRecorder::seal_locked(Partition& w, EpochSeal reason,
   e.index = w.sealed++;
   e.first_access = w.first_access.load(std::memory_order_relaxed);
   e.last_access = last_access;
-  e.dependencies = w.deps;
-  e.bytes = w.bytes;
   e.reason = reason;
   e.perf = perf;
-  const int n = options_.threads;
-  for (int p = 0; p < n; ++p) {
-    for (int c = 0; c < n; ++c) {
-      const std::uint64_t v =
-          w.cells[static_cast<std::size_t>(p) * static_cast<std::size_t>(n) +
-                  static_cast<std::size_t>(c)];
-      if (v != 0) {
+  // Merge the consumer columns shard by shard. Holding one shard lock at a
+  // time keeps adds on the other shards running, and each dependency still
+  // lands whole in exactly one window.
+  const std::size_t n = static_cast<std::size_t>(options_.threads);
+  for (std::size_t c = 0; c < n; ++c) {
+    Shard& s = shards_[c];
+    std::lock_guard<std::mutex> lock(s.mu);
+    Column& col = s.window[w.column];
+    for (std::size_t p = 0; p < n; ++p) {
+      if (col.cells[p] != 0) {
         e.cells.push_back(EpochCell{static_cast<std::uint16_t>(p),
-                                    static_cast<std::uint16_t>(c), v});
+                                    static_cast<std::uint16_t>(c),
+                                    col.cells[p]});
       }
     }
+    e.loops.insert(e.loops.end(), col.loops.begin(), col.loops.end());
+    e.bytes += col.bytes;
+    e.dependencies += col.deps;
+    std::fill_n(col.cells, n, 0);
+    col.loops.clear();
+    col.bytes = 0;
+    col.deps = 0;
+    if (&w == &phases_) s.due = due_;
   }
-  std::sort(w.loops.begin(), w.loops.end(),
+  // Columns were visited consumer-major; samples keep (producer, consumer)
+  // order, and one share per loop.
+  std::sort(e.cells.begin(), e.cells.end(),
+            [](const EpochCell& a, const EpochCell& b) {
+              return std::tie(a.producer, a.consumer) <
+                     std::tie(b.producer, b.consumer);
+            });
+  std::sort(e.loops.begin(), e.loops.end(),
             [](const EpochLoopShare& a, const EpochLoopShare& b) {
               return a.loop < b.loop;
             });
-  e.loops = std::move(w.loops);
-
-  w.loops = {};
-  std::fill(w.cells.begin(), w.cells.end(), 0);
-  w.bytes = 0;
-  w.deps = 0;
+  std::vector<EpochLoopShare> loops;
+  for (const EpochLoopShare& share : e.loops) {
+    if (!loops.empty() && loops.back().loop == share.loop) {
+      loops.back().bytes += share.bytes;
+    } else {
+      loops.push_back(share);
+    }
+  }
+  e.loops = std::move(loops);
   w.first_access.store(last_access, std::memory_order_relaxed);
 
   if (w.ring.size() < w.capacity) {

@@ -27,15 +27,27 @@
 //   * Active: count_access() increments a thread-local counter and touches
 //     the shared atomic only once per `stride_` events (stride adapts to the
 //     epoch granularity, so fine-grained triggers stay exact while coarse
-//     ones avoid cache-line ping-pong between counting threads); add()
-//     (dependencies only — orders of magnitude rarer than accesses) takes
-//     one mutex that covers both partitions.
-//   * Memory: each partition's dense window is charged to the tracker at
+//     ones avoid cache-line ping-pong between counting threads). Epoch
+//     boundaries are exact to within stride_ * threads accesses.
+//   * add() runs once per dependency, which is not rare: dependencies are a
+//     third of ocean_ncp's accesses and a sixth of radix's. So the open
+//     windows of both partitions are sharded by consumer thread: each
+//     consumer's column (cells, loop shares, bytes, deps) sits on its own
+//     cache lines under its own lock, and a dependency touches nothing
+//     another thread writes. Phase volume is counted like accesses: in the
+//     thread-local slot, published to one atomic once per `volume_stride_`
+//     bytes (1/64th of the window, at most 1 KiB). One thread gets exact
+//     windows; with T threads a window runs up to about T * volume_stride_
+//     bytes long or short of its volume (see phase_windows()). A seal is
+//     the only cross-thread point: under mu_ it visits the shards in tid
+//     order, one lock at a time, and merges their columns.
+//   * Memory: the shards and their columns are charged to the tracker at
 //     construction, each ring slot when a sealed sample first occupies it.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -157,8 +169,8 @@ class FlightRecorder {
  public:
   /// An inactive recorder (no epoch trigger, no phase volume) allocates
   /// nothing and its hot-path calls reduce to one branch. `tracker`
-  /// (optional) is charged for the dense windows and the occupied ring slots
-  /// so Figure 5 numbers stay honest.
+  /// (optional) is charged for the shards and the occupied ring slots so
+  /// Figure 5 numbers stay honest.
   FlightRecorder(FlightRecorderOptions options,
                  support::MemoryTracker* tracker = nullptr);
   ~FlightRecorder();
@@ -183,15 +195,23 @@ class FlightRecorder {
   /// dependencies flow through add(), not this counter).
   void count_access() noexcept {
     if (!active_) return;
-    TlPending& tl = pending_slot();
-    if (tl.gen != gen_) {
-      tl.gen = gen_;
-      tl.pending = 0;
-    }
+    TlPending& tl = own_slot();
     if (++tl.pending < stride_) return;
-    const std::uint32_t batch = tl.pending;
     tl.pending = 0;
-    publish_accesses(batch);
+    publish_accesses(stride_);
+  }
+
+  /// count_access() `k` times over: publishes the same batches at the same
+  /// points, so seals land exactly where the per-event calls put them.
+  void count_accesses(std::uint32_t k) noexcept {
+    if (!active_) return;
+    TlPending& tl = own_slot();
+    while (k >= stride_ - tl.pending) {
+      k -= stride_ - tl.pending;
+      tl.pending = 0;
+      publish_accesses(stride_);
+    }
+    tl.pending += k;
   }
 
   /// Counts one drained micro-batch; seals when the batch trigger is due.
@@ -206,7 +226,9 @@ class FlightRecorder {
 
   /// Feeds one detected dependency attributed to `loop` on the consumer
   /// side into both partitions, sealing the phase window it fills.
-  /// Thread-safe (one mutex).
+  /// Thread-safe: takes only `consumer`'s shard lock (plus the shared
+  /// volume atomic once per volume stride). Endpoints outside [0, threads)
+  /// are ignored.
   void add(int producer, int consumer, std::uint64_t bytes,
            instrument::LoopId loop) noexcept;
 
@@ -224,10 +246,16 @@ class FlightRecorder {
   /// from the process's LoopRegistry.
   [[nodiscard]] EpochTimeline timeline() const;
 
-  /// The phase partition, oldest first, loop labels unresolved. Window
-  /// access counts (last_access - first_access) are exact when one thread
-  /// drives the recorder; otherwise each other thread's pending count (below
-  /// the coalescing stride) may fall into a later window.
+  /// The phase partition, oldest first, loop labels unresolved. With one
+  /// thread driving the recorder, window volumes and access counts
+  /// (last_access - first_access) are exact. With several, a window seals
+  /// on the sealing thread's view of the volume: the published count as it
+  /// last saw it plus its own unpublished bytes. Each other thread's
+  /// unpublished bytes (below the volume stride) may land in a window
+  /// before they count toward one, and the published count may have moved
+  /// since the sealing thread last looked, so a window holds W bytes give
+  /// or take threads * volume stride, plus the dependency that crossed W.
+  /// Access counts blur the same way by each thread's pending accesses.
   [[nodiscard]] EpochTimeline phase_windows() const;
 
  private:
@@ -240,7 +268,9 @@ class FlightRecorder {
   /// a freed recorder's address must not inherit its residue.
   struct TlPending {
     std::uint64_t gen = 0;
-    std::uint32_t pending = 0;
+    std::uint32_t pending = 0;  ///< access events not yet published
+    std::uint64_t volume = 0;   ///< dependency bytes not yet published
+    std::uint64_t seen = 0;     ///< published volume as this thread last saw it
   };
 
   static TlPending& pending_slot() noexcept {
@@ -248,15 +278,42 @@ class FlightRecorder {
     return tl;
   }
 
-  /// One windowed-delta partition: the open window plus the ring its sealed
-  /// samples land in. Guarded by mu_; `first_access` is atomic because the
-  /// epoch triggers also read it without the lock.
-  struct Partition {
-    std::uint32_t capacity = 0;           ///< ring ceiling; 0 = off
-    std::vector<std::uint64_t> cells;     ///< dense n*n delta
-    std::vector<EpochLoopShare> loops;    ///< unsorted, linear scan
+  /// The calling thread's slot for this recorder (reset if it last served
+  /// another one).
+  TlPending& own_slot() const noexcept {
+    TlPending& tl = pending_slot();
+    if (tl.gen != gen_) tl = TlPending{gen_};
+    return tl;
+  }
+
+  /// One consumer's column of one partition's open window.
+  struct Column {
+    std::uint64_t* cells = nullptr;     ///< bytes by producer (threads long)
+    std::vector<EpochLoopShare> loops;  ///< unsorted, linear scan
     std::uint64_t bytes = 0;
     std::uint64_t deps = 0;
+  };
+
+  /// One consumer thread's slice of both open windows. Cache-line aligned
+  /// (its column cells live on lines of their own in cell_store_), so a
+  /// dependency writes only memory its consumer owns.
+  struct alignas(64) Shard {
+    std::mutex mu;
+    Column window[2];  ///< indexed by Partition::column
+    /// Volume at which the open phase window is due (a copy of due_, kept
+    /// here so the per-dependency check reads no shared line).
+    std::uint64_t due = 0;
+  };
+
+  /// One windowed-delta partition: the ring its sealed samples land in,
+  /// guarded by mu_; the open window itself lives in the shards' columns.
+  /// `first_access` is atomic because the epoch triggers also read it
+  /// without the lock.
+  struct Partition {
+    explicit Partition(std::size_t col) : column(col) {}
+
+    const std::size_t column;             ///< index into Shard::window
+    std::uint32_t capacity = 0;           ///< ring ceiling; 0 = off
     std::atomic<std::uint64_t> first_access{0};
     std::uint64_t sealed = 0;
     std::uint64_t dropped = 0;
@@ -270,17 +327,25 @@ class FlightRecorder {
 
   void seal(EpochSeal reason) noexcept;
   void timer_tick() noexcept;
+  /// Re-checks the phase volume under mu_ and seals the window if it is
+  /// still due (another thread may have sealed it first).
+  void seal_volume() noexcept;
   /// Seals the open epoch under mu_; trigger reasons re-check their
   /// condition first (in seal()) so concurrent crossers produce one epoch.
   void seal_epoch_locked(EpochSeal reason);
   /// Seals the open phase window under mu_, counting the calling thread's
-  /// unpublished accesses in without publishing them (no epoch moves).
+  /// unpublished accesses and bytes in without publishing them (no epoch
+  /// moves), and sets the volume at which the next window is due.
   void seal_phase_locked(EpochSeal reason);
-  /// Moves `w`'s open window into its ring as a sample ending at
-  /// `last_access` and opens the next window there; returns true when the
-  /// sample overwrote the oldest one.
+  /// Merges `w`'s open window out of the shards (one shard lock at a time,
+  /// in tid order) into its ring as a sample ending at `last_access`, and
+  /// opens the next window there; returns true when the sample overwrote
+  /// the oldest one.
   bool seal_locked(Partition& w, EpochSeal reason, std::uint64_t last_access,
                    const telemetry::PerfDelta& perf);
+  /// Sum of one Column field over `w`'s open window, shard by shard.
+  [[nodiscard]] std::uint64_t open_sum(const Partition& w,
+                                       std::uint64_t Column::*field) const;
   [[nodiscard]] EpochTimeline copy_ring(const Partition& w) const;
 
   FlightRecorderOptions options_;
@@ -288,7 +353,8 @@ class FlightRecorder {
   support::MemoryTracker* tracker_ = nullptr;
   std::uint64_t tracked_bytes_ = 0;
   std::uint64_t gen_ = 0;     ///< this instance's TlPending generation
-  std::uint32_t stride_ = 1;  ///< thread-local coalescing width
+  std::uint32_t stride_ = 1;  ///< thread-local access coalescing width
+  std::uint64_t volume_stride_ = 1;  ///< thread-local volume coalescing width
 
   std::atomic<std::uint64_t> accesses_{0};
   std::atomic<std::uint64_t> batches_{0};
@@ -297,10 +363,20 @@ class FlightRecorder {
   std::atomic<std::uint64_t> window_first_batch_{0};
   /// Read by the timer poll without the lock, written by every epoch seal.
   std::atomic<std::uint64_t> last_seal_ns_{0};
+  /// Published phase volume (bytes), on a line of its own: it is the one
+  /// shared word the dependency path writes, once per volume stride.
+  alignas(64) std::atomic<std::uint64_t> volume_{0};
 
-  mutable std::mutex mu_;
-  Partition epochs_;
-  Partition phases_;
+  alignas(64) mutable std::mutex mu_;
+  Partition epochs_{0};
+  Partition phases_{1};
+  /// Volume at which the open phase window is due; guarded by mu_, copied
+  /// into every shard at each phase seal.
+  std::uint64_t due_ = 0;
+  /// One shard per consumer thread, and the cache-line-aligned backing
+  /// store of their column cells.
+  std::unique_ptr<Shard[]> shards_;
+  std::vector<std::uint64_t> cell_store_;
 };
 
 }  // namespace commscope::core

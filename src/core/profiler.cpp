@@ -193,22 +193,23 @@ void Profiler::flush_batch(int tid) {
     c.reads += n - r.writes;
     c.dependencies += r.deps;
     if (recorder_.active()) {
-      // Epoch seals and phase windows snapshot mid-stream, so the per-event
+      // Epoch seals and phase windows snapshot mid-stream, so the access
       // counting must interleave with the dependency adds in issue order —
-      // exactly as the unbatched path interleaves them. Walking the sorted
-      // dependency list with a cursor reproduces that order.
-      std::uint32_t d = 0;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        recorder_.count_access();
-        if (d < r.deps && dep_evt[d] == i) {
-          const int producer = dep_producer[d];
-          const std::uint32_t bytes =
-              c.batch_meta[i] & ~AsymmetricDetector::kMetaWriteBit;
-          region->matrix().add(producer, tid, bytes);
-          recorder_.add(producer, tid, bytes, region->loop());
-          ++d;
-        }
+      // exactly as the unbatched path interleaves them. Counting the run of
+      // accesses up to each dependency in bulk publishes at the same points
+      // as counting them one by one.
+      std::uint32_t counted = 0;
+      for (std::uint32_t d = 0; d < r.deps; ++d) {
+        const std::uint32_t i = dep_evt[d];
+        recorder_.count_accesses(i + 1 - counted);
+        counted = i + 1;
+        const int producer = dep_producer[d];
+        const std::uint32_t bytes =
+            c.batch_meta[i] & ~AsymmetricDetector::kMetaWriteBit;
+        region->matrix().add(producer, tid, bytes);
+        recorder_.add(producer, tid, bytes, region->loop());
       }
+      recorder_.count_accesses(n - counted);
     } else {
       // No mid-stream observers: only the dependencies themselves matter,
       // and their region attribution is order-insensitive within the batch.

@@ -417,6 +417,53 @@ TEST(FlightRecorder, SparseDeltasSumToAccumulatedMatrix) {
   EXPECT_TRUE(t.total() == want) << "sparse deltas diverged from dense sum";
 }
 
+TEST(FlightRecorder, OutOfRangeEndpointsAreIgnored) {
+  // Each endpoint is checked against threads on its own: at 4 threads,
+  // (1, 7) and (2, -1) flatten to in-range indices of the 4x4 window and
+  // would otherwise be booked into cells (2, 3) and (1, 3).
+  cc::FlightRecorderOptions o = opts(4, 1000);
+  o.phase_window_bytes = 1 << 20;
+  cc::FlightRecorder r(o);
+  r.add(1, 7, 64, ci::kNoLoop);
+  r.add(2, -1, 64, ci::kNoLoop);
+  r.add(-1, 2, 64, ci::kNoLoop);
+  r.add(4, 0, 64, ci::kNoLoop);
+  r.add(0, 4, 64, ci::kNoLoop);
+  r.add(0, 1, 8, ci::kNoLoop);  // the one dependency inside the run
+  r.flush(cc::EpochSeal::kFinalize);
+  for (const cc::EpochTimeline& t : {r.timeline(), r.phase_windows()}) {
+    ASSERT_EQ(t.epochs.size(), 1u);
+    const cc::EpochSample& e = t.epochs[0];
+    EXPECT_EQ(e.dependencies, 1u);
+    EXPECT_EQ(e.bytes, 8u);
+    ASSERT_EQ(e.cells.size(), 1u);
+    EXPECT_EQ(e.cells[0], (cc::EpochCell{0, 1, 8}));
+  }
+}
+
+TEST(FlightRecorder, ConsumerShardsMergeIntoOneSortedSample) {
+  // Every consumer's column lives in its own shard; a seal merges them
+  // back into (producer, consumer) order with one share per loop.
+  cc::FlightRecorder r(opts(4, 1000));
+  r.add(3, 2, 10, 7);
+  r.add(0, 3, 20, 5);
+  r.add(1, 0, 30, 7);
+  r.add(0, 1, 40, ci::kNoLoop);
+  r.add(0, 3, 1, 5);
+  r.flush(cc::EpochSeal::kCheckpoint);
+  const cc::EpochTimeline t = r.timeline();
+  ASSERT_EQ(t.epochs.size(), 1u);
+  const cc::EpochSample& e = t.epochs[0];
+  EXPECT_EQ(e.dependencies, 5u);
+  EXPECT_EQ(e.bytes, 101u);
+  const std::vector<cc::EpochCell> cells{
+      {0, 1, 40}, {0, 3, 21}, {1, 0, 30}, {3, 2, 10}};
+  EXPECT_EQ(e.cells, cells);
+  const std::vector<cc::EpochLoopShare> loops{
+      {5, 21}, {7, 40}, {ci::kNoLoop, 40}};
+  EXPECT_EQ(e.loops, loops);
+}
+
 TEST(FlightRecorder, MemoryTrackerChargedAndReleased) {
   commscope::support::MemoryTracker tracker;
   {

@@ -267,45 +267,81 @@ void expect_ring_invariants(const cc::EpochTimeline& t) {
 // interleaving, both partitions keep the overwrite-and-count contract, and
 // the phase windows (never dropped at this scale) sum to the final matrix.
 // The timer case runs long enough for concurrent timer polls to race seals.
+// The last case drives the sharded windows at a phase volume whose stride
+// is at its cap, while an extra thread forces checkpoint seals in a loop,
+// so shard merges race the lanes' adds and their volume seals. Its lanes
+// also read the stripe their neighbour wrote in the previous wave, which
+// are dependencies on any schedule (even one CPU), so it seals several
+// windows.
 TEST(FlushOrdering, EpochRingInvariantsHoldUnderThreadChurn) {
+  constexpr int kLanes = 4;
+  // 2 waves x 4 lanes x 8192 reads x 8 B = 8 windows of 64 KiB.
+  constexpr int kStripe = 8192;
   const struct {
     std::uint64_t every_accesses;
     std::uint32_t every_millis;
     std::uint64_t phase_bytes;
     int per_lane;
+    bool flusher;  ///< also stripe traffic and a checkpoint-flush thread
   } cases[] = {
-      {64, 0, 0, 400},
-      {0, 1, 0, 20000},
-      {64, 0, 256, 400},
+      {64, 0, 0, 400, false},
+      {0, 1, 0, 20000, false},
+      {64, 0, 256, 400, false},
+      {100000, 0, 65536, 20000, true},
   };
   for (const auto& k : cases) {
     SCOPED_TRACE("every_accesses=" + std::to_string(k.every_accesses) +
                  " every_millis=" + std::to_string(k.every_millis) +
-                 " phase_bytes=" + std::to_string(k.phase_bytes));
+                 " phase_bytes=" + std::to_string(k.phase_bytes) +
+                 " flusher=" + std::to_string(k.flusher));
     cc::ProfilerOptions po = batched_profiler_options();
     po.epoch_accesses = k.every_accesses;
     po.epoch_millis = k.every_millis;
     po.phase_window_bytes = k.phase_bytes;
     po.epoch_ring = 4;  // force overwrites
     cc::Profiler prof(po);
-    constexpr int kLanes = 4;
+    std::atomic<bool> lanes_done{false};
+    std::thread flusher;
+    if (k.flusher) {
+      flusher = std::thread([&prof, &lanes_done] {
+        while (!lanes_done.load(std::memory_order_relaxed)) {
+          prof.recorder().flush(cc::EpochSeal::kCheckpoint);
+          std::this_thread::yield();
+        }
+      });
+    }
     for (int wave = 0; wave < 3; ++wave) {  // churn: fresh threads each wave
       std::vector<std::thread> lanes;
       for (int t = 0; t < kLanes; ++t) {
-        lanes.emplace_back([&prof, t, wave, n = k.per_lane] {
+        lanes.emplace_back([&prof, t, wave, n = k.per_lane,
+                            stripe = k.flusher ? kStripe : 0] {
           (void)ct::ThreadRegistry::current_tid();
           prof.on_thread_begin(t);
+          const auto stripe_addr = [stripe](int w, int lane, int i) {
+            return 0x100000u +
+                   8u * static_cast<unsigned>((w * kLanes + lane) * stripe + i);
+          };
           for (int i = 0; i < n; ++i) {
             const auto addr = 0x9000u + 8u * static_cast<unsigned>(i % 32);
             prof.on_access(t, addr, 8,
                            (i + t + wave) % 3 == 0 ? ci::AccessKind::kWrite
                                                    : ci::AccessKind::kRead);
+            if (i < stripe) {
+              if (wave > 0) {
+                prof.on_access(t, stripe_addr(wave - 1, (t + 1) % kLanes, i),
+                               8, ci::AccessKind::kRead);
+              }
+              prof.on_access(t, stripe_addr(wave, t, i), 8,
+                             ci::AccessKind::kWrite);
+            }
           }
           prof.on_drain(t);
         });
       }
       for (std::thread& th : lanes) th.join();
     }
+    lanes_done.store(true, std::memory_order_relaxed);
+    if (flusher.joinable()) flusher.join();
     prof.finalize();
 
     const cc::EpochTimeline t = prof.epoch_timeline();
@@ -317,7 +353,7 @@ TEST(FlushOrdering, EpochRingInvariantsHoldUnderThreadChurn) {
     if (k.phase_bytes != 0) {
       const cc::EpochTimeline phases = prof.recorder().phase_windows();
       expect_ring_invariants(phases);
-      EXPECT_GT(phases.epochs.size(), 1u);
+      EXPECT_GT(phases.epochs.size(), k.flusher ? 3u : 1u);
       EXPECT_EQ(phases.dropped, 0u);
       EXPECT_TRUE(phases.total() == prof.communication_matrix())
           << "phase windows do not sum to the final matrix";
