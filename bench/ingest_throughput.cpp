@@ -1,27 +1,31 @@
 // Batched-ingest throughput sweep (the tentpole's acceptance bench).
 //
-// Records the access streams of Figure 4 workload replicas once, then
-// replays the identical event sequence through fresh profilers at a sweep of
-// micro-batch sizes, measuring single-thread ingest throughput — the
-// quantity the batch layer attacks: per-event dispatch, region lookup and,
-// via hash-ahead prefetching of the striped signature memories, the random
-// cache misses that dominate Figure 4's slowdown.
+// Records the access streams of Figure 4 workload replicas once with
+// instrument::TraceRecorder, then replays the identical event sequence
+// through fresh profilers at a sweep of micro-batch sizes, measuring
+// single-thread ingest throughput — the quantity the batch layer attacks:
+// per-event dispatch, region lookup and, via hash-ahead prefetching of the
+// striped signature memories, the random cache misses that dominate
+// Figure 4's slowdown.
 //
-// Replay is deterministic: each worker's recorded stream is consumed in
-// fixed round-robin chunks with an on_drain() at every chunk boundary, so
-// the global processing order is identical at every batch size and the
-// resulting matrices must be BIT-IDENTICAL to the unbatched run — the sweep
-// verifies that for every batch size before reporting a single number.
+// Replay is deterministic: outside the timed region the recorded trace is
+// reordered once by instrument::round_robin() into fixed 256-event turns per
+// worker (each worker's events in program order), and the timed
+// instrument::replay() drains at every tid switch, i.e. at every turn
+// boundary. The global processing order is therefore identical at every
+// batch size and the resulting matrices must be BIT-IDENTICAL to the
+// unbatched run — the sweep verifies that for every batch size before
+// reporting a single number.
 //
 // Output: a human table plus BENCH_ingest.json (events/sec per batch size,
 // speedup vs unbatched). $COMMSCOPE_BENCH_OUT overrides the JSON path.
 #include "bench_common.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "core/region_tree.hpp"
+#include "instrument/trace.hpp"
 #include "support/simd.hpp"
 
 namespace cb = commscope::bench;
@@ -31,101 +35,6 @@ namespace cs = commscope::support;
 namespace cw = commscope::workloads;
 
 namespace {
-
-// Recorded streams are structure-of-arrays — an address lane plus a packed
-// meta lane (op kind in the top two bits, access size below) — so replay
-// streams 12 bytes per event instead of a padded 16-byte record. The replay
-// loop is inside the timed region, so every byte it streams and every
-// branch it retires is measurement overhead diluting the batch-vs-inline
-// ratio equally on both sides; keeping the harness lean keeps the reported
-// speedup close to the profiler's own.
-constexpr std::uint32_t kOpShift = 30;
-constexpr std::uint32_t kSizeMask = (1u << kOpShift) - 1;
-constexpr std::uint32_t kRead = 0;   // op field values
-constexpr std::uint32_t kWrite = 1;
-constexpr std::uint32_t kEnter = 2;
-constexpr std::uint32_t kExit = 3;
-
-struct Stream {
-  std::vector<std::uintptr_t> addr;
-  std::vector<std::uint32_t> meta;
-
-  void push(std::uintptr_t a, std::uint32_t m) {
-    addr.push_back(a);
-    meta.push_back(m);
-  }
-  [[nodiscard]] std::size_t size() const { return meta.size(); }
-};
-
-/// Captures each worker's event stream into a private per-tid stream (the
-/// workers only ever touch their own stream, so recording needs no locks).
-class RecordingSink final : public ci::AccessSink {
- public:
-  explicit RecordingSink(int threads) : streams_(std::size_t(threads)) {}
-
-  void on_thread_begin(int) override {}
-  void on_loop_enter(int tid, ci::LoopId id) override {
-    streams_[std::size_t(tid)].push(id, kEnter << kOpShift);
-  }
-  void on_loop_exit(int tid) override {
-    streams_[std::size_t(tid)].push(0, kExit << kOpShift);
-  }
-  void on_access(int tid, std::uintptr_t addr, std::uint32_t size,
-                 ci::AccessKind kind) override {
-    streams_[std::size_t(tid)].push(
-        addr, (size & kSizeMask) |
-                  ((kind == ci::AccessKind::kWrite ? kWrite : kRead)
-                   << kOpShift));
-  }
-
-  [[nodiscard]] const std::vector<Stream>& streams() const { return streams_; }
-  [[nodiscard]] std::uint64_t total() const {
-    std::uint64_t n = 0;
-    for (const auto& s : streams_) n += s.size();
-    return n;
-  }
-
- private:
-  std::vector<Stream> streams_;
-};
-
-/// Replays the recorded streams into `prof` on the calling thread: fixed
-/// round-robin chunks per tid with a drain at every chunk boundary. The
-/// order is a pure function of the recording, so every batch size processes
-/// the exact same event sequence.
-void replay(const std::vector<Stream>& streams, cc::Profiler& prof) {
-  constexpr std::size_t kChunk = 256;  // >= kMaxBatchSize: full batches fit
-  const int threads = static_cast<int>(streams.size());
-  for (int t = 0; t < threads; ++t) prof.on_thread_begin(t);
-  std::vector<std::size_t> cursor(streams.size(), 0);
-  bool more = true;
-  while (more) {
-    more = false;
-    for (int t = 0; t < threads; ++t) {
-      const Stream& s = streams[std::size_t(t)];
-      const std::uintptr_t* addr = s.addr.data();
-      const std::uint32_t* meta = s.meta.data();
-      std::size_t& i = cursor[std::size_t(t)];
-      const std::size_t end = std::min(s.size(), i + kChunk);
-      for (; i < end; ++i) {
-        const std::uint32_t m = meta[i];
-        const std::uint32_t op = m >> kOpShift;
-        if (op <= kWrite) [[likely]] {
-          prof.on_access(t, addr[i], m & kSizeMask,
-                         op == kWrite ? ci::AccessKind::kWrite
-                                      : ci::AccessKind::kRead);
-        } else if (op == kEnter) {
-          prof.on_loop_enter(t, static_cast<ci::LoopId>(addr[i]));
-        } else {
-          prof.on_loop_exit(t);
-        }
-      }
-      prof.on_drain(t);
-      if (i < s.size()) more = true;
-    }
-  }
-  prof.finalize();
-}
 
 /// Every observable output must match cell-for-cell and node-for-node.
 bool identical(const cc::Profiler& a, const cc::Profiler& b) {
@@ -160,7 +69,7 @@ int main() {
   // layer targets.
   const char* const names[] = {"fft", "ocean_cp", "water_nsq"};
   commscope::threading::ThreadTeam team(threads);
-  RecordingSink recording(threads);
+  ci::TraceRecorder recording;
   for (const char* name : names) {
     const cw::Workload* w = cw::find(name);
     if (w == nullptr || !w->run(scale, team, &recording).ok) {
@@ -168,7 +77,8 @@ int main() {
       return 1;
     }
   }
-  const std::uint64_t events = recording.total();
+  const std::vector<ci::TraceEvent> trace = ci::round_robin(recording.events());
+  const std::uint64_t events = trace.size();
   std::cout << "recorded " << events << " events from fft+ocean_cp+water_nsq\n"
             << "replay: single thread, round-robin chunks of 256, drain at "
                "every chunk boundary; hash kernel: "
@@ -193,7 +103,7 @@ int main() {
     cc::ProfilerOptions o = prof->options();
     o.batch_size = batch;
     prof = std::make_unique<cc::Profiler>(o);
-    seconds = cb::time_seconds([&] { replay(recording.streams(), *prof); });
+    seconds = cb::time_seconds([&] { ci::replay(trace, *prof); });
     return prof;
   };
 

@@ -1,5 +1,7 @@
 #include "instrument/trace.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -13,30 +15,29 @@ namespace commscope::instrument {
 
 void TraceRecorder::on_thread_begin(int tid) {
   std::lock_guard lock(mu_);
-  events_.push_back(TraceEvent{TraceEvent::Kind::kThreadBegin, 0,
-                               static_cast<std::uint16_t>(tid), 0, 0});
+  events_.push_back({TraceEvent::Kind::kThreadBegin, AccessKind::kRead,
+                     static_cast<std::uint16_t>(tid), 0, 0});
 }
 
 void TraceRecorder::on_loop_enter(int tid, LoopId id) {
   std::lock_guard lock(mu_);
-  events_.push_back(TraceEvent{TraceEvent::Kind::kLoopEnter, 0,
-                               static_cast<std::uint16_t>(tid), 0,
-                               static_cast<std::uint64_t>(id)});
+  events_.push_back({TraceEvent::Kind::kLoopEnter, AccessKind::kRead,
+                     static_cast<std::uint16_t>(tid), 0,
+                     static_cast<std::uint64_t>(id)});
 }
 
 void TraceRecorder::on_loop_exit(int tid) {
   std::lock_guard lock(mu_);
-  events_.push_back(TraceEvent{TraceEvent::Kind::kLoopExit, 0,
-                               static_cast<std::uint16_t>(tid), 0, 0});
+  events_.push_back({TraceEvent::Kind::kLoopExit, AccessKind::kRead,
+                     static_cast<std::uint16_t>(tid), 0, 0});
 }
 
 void TraceRecorder::on_access(int tid, std::uintptr_t addr, std::uint32_t size,
                               AccessKind kind) {
   std::lock_guard lock(mu_);
-  events_.push_back(TraceEvent{TraceEvent::Kind::kAccess,
-                               static_cast<std::uint8_t>(kind),
-                               static_cast<std::uint16_t>(tid), size,
-                               static_cast<std::uint64_t>(addr)});
+  events_.push_back({TraceEvent::Kind::kAccess, kind,
+                     static_cast<std::uint16_t>(tid), size,
+                     static_cast<std::uint64_t>(addr)});
 }
 
 void replay(const std::vector<TraceEvent>& events, AccessSink& sink) {
@@ -51,23 +52,29 @@ void replay(const std::vector<TraceEvent>& events, AccessSink& sink) {
       if (last_tid >= 0) sink.on_drain(last_tid);
       last_tid = static_cast<int>(e.tid);
     }
-    switch (e.kind) {
-      case TraceEvent::Kind::kThreadBegin:
-        sink.on_thread_begin(e.tid);
-        break;
-      case TraceEvent::Kind::kLoopEnter:
-        sink.on_loop_enter(e.tid, static_cast<LoopId>(e.payload));
-        break;
-      case TraceEvent::Kind::kLoopExit:
-        sink.on_loop_exit(e.tid);
-        break;
-      case TraceEvent::Kind::kAccess:
-        sink.on_access(e.tid, static_cast<std::uintptr_t>(e.payload), e.size,
-                       static_cast<AccessKind>(e.access));
-        break;
-    }
+    dispatch(e, sink);
   }
   sink.finalize();
+}
+
+std::vector<TraceEvent> round_robin(const std::vector<TraceEvent>& events) {
+  std::vector<std::vector<TraceEvent>> lanes;
+  for (const TraceEvent& e : events) {
+    if (e.tid >= lanes.size()) lanes.resize(e.tid + 1u);
+    lanes[e.tid].push_back(e);
+  }
+  std::vector<TraceEvent> out;
+  out.reserve(events.size());
+  for (std::size_t pos = 0; out.size() < events.size();
+       pos += kRoundRobinChunk) {
+    for (const std::vector<TraceEvent>& lane : lanes) {
+      if (pos >= lane.size()) continue;
+      const std::size_t stop = std::min(lane.size(), pos + kRoundRobinChunk);
+      out.insert(out.end(), lane.begin() + static_cast<std::ptrdiff_t>(pos),
+                 lane.begin() + static_cast<std::ptrdiff_t>(stop));
+    }
+  }
+  return out;
 }
 
 namespace {
@@ -152,7 +159,7 @@ std::vector<TraceEvent> read_trace(std::istream& is) {
     e.size = sc.next_uint<std::uint32_t>("size");
     e.payload = sc.next_uint<std::uint64_t>("payload");
     e.kind = static_cast<TraceEvent::Kind>(kind);
-    e.access = static_cast<std::uint8_t>(access);
+    e.access = static_cast<AccessKind>(access);
     events.push_back(e);
   }
 
@@ -166,7 +173,8 @@ std::vector<TraceEvent> read_trace(std::istream& is) {
     for (std::size_t i = 0; i < nloops; ++i) {
       const auto uid = sc.next_uint<std::uint64_t>("loop uid");
       const std::string_view function = sc.next_token();
-      const std::string_view name = sc.next_token();
+      // A loop name may contain spaces; it runs to the end of the line.
+      const std::string_view name = sc.rest_of_line();
       if (function.empty() || name.empty()) sc.fail("truncated loop table");
       remap[uid] = LoopRegistry::instance().declare(std::string(function),
                                                     std::string(name));

@@ -2,7 +2,8 @@
 //
 // TraceRecorder is an AccessSink that captures the complete, globally
 // ordered event stream (thread begins, loop enters/exits, accesses) of one
-// profiled run; replay() feeds a stored trace into any other sink.
+// profiled run; replay() feeds a stored trace into any other sink. It is
+// the one recorded-event representation (CLI, benches, tests, stress).
 //
 // This gives CommScope a capability the paper's methodology needs but
 // multi-threaded execution denies: *identical* inputs for every profiler
@@ -14,6 +15,7 @@
 // offline experimentation via save/load).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
@@ -32,7 +34,7 @@ struct TraceEvent {
     kAccess
   };
   Kind kind = Kind::kAccess;
-  std::uint8_t access = 0;  ///< AccessKind when kind == kAccess
+  AccessKind access = AccessKind::kRead;  ///< when kind == kAccess
   std::uint16_t tid = 0;
   std::uint32_t size = 0;
   std::uint64_t payload = 0;  ///< address or LoopId
@@ -63,9 +65,40 @@ class TraceRecorder final : public AccessSink {
   std::vector<TraceEvent> events_;
 };
 
-/// Feeds a recorded trace into `sink` (serially, in recorded order) and
-/// finalizes it.
+/// Delivers one recorded event to `sink` — the per-event step of replay().
+inline void dispatch(const TraceEvent& e, AccessSink& sink) {
+  switch (e.kind) {
+    case TraceEvent::Kind::kThreadBegin:
+      sink.on_thread_begin(e.tid);
+      break;
+    case TraceEvent::Kind::kLoopEnter:
+      sink.on_loop_enter(e.tid, static_cast<LoopId>(e.payload));
+      break;
+    case TraceEvent::Kind::kLoopExit:
+      sink.on_loop_exit(e.tid);
+      break;
+    case TraceEvent::Kind::kAccess:
+      sink.on_access(e.tid, static_cast<std::uintptr_t>(e.payload), e.size,
+                     e.access);
+      break;
+  }
+}
+
+/// Feeds a recorded trace into `sink` (serially, in recorded order),
+/// draining the outgoing tid at every tid switch, and finalizes it.
 void replay(const std::vector<TraceEvent>& events, AccessSink& sink);
+
+/// Events per turn in round_robin(): at least the largest profiler
+/// micro-batch (core::kMaxBatchSize), so full batches fit in one turn.
+inline constexpr std::size_t kRoundRobinChunk = 256;
+
+/// Reorders a trace into turns: tids in ascending order each emit their next
+/// kRoundRobinChunk events, in program order, until all are out. The result
+/// depends only on the per-tid streams, which makes it a fixed bench input;
+/// it does not reproduce the recorded run, because moving one thread's
+/// events past another's changes which write each read sees.
+[[nodiscard]] std::vector<TraceEvent> round_robin(
+    const std::vector<TraceEvent>& events);
 
 /// Text serialization of a trace (one event per line, versioned header).
 /// The loop-name table of every loop UID referenced by the trace is

@@ -1,7 +1,6 @@
 #include "resilience/checkpoint.hpp"
 
 #include <charconv>
-#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <unordered_map>
@@ -225,27 +224,6 @@ core::Matrix Checkpoint::program() const {
   core::Matrix sum(threads);
   for (const CheckpointRegion& r : regions) sum += r.direct;
   return sum;
-}
-
-void write_file_atomic(const std::string& path, std::string_view contents) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("checkpoint: cannot open '" + tmp +
-                               "' for writing");
-    }
-    out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      throw std::runtime_error("checkpoint: write to '" + tmp + "' failed");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("checkpoint: rename to '" + path + "' failed");
-  }
 }
 
 }  // namespace commscope::resilience

@@ -6,9 +6,9 @@
 // classification stages need — per-region direct matrices with labels and
 // nesting structure, aggregate statistics, and the degradation provenance
 // log — in a versioned text format with a CRC-32 trailer, written via
-// write-temp-then-rename so a crash mid-checkpoint can never destroy the
-// previous good snapshot. `commscope resume <snapshot>` finishes reporting
-// and classification from one.
+// support::write_file_atomic (temp file, fsync, rename) so a crash
+// mid-checkpoint can never destroy the previous good snapshot. `commscope
+// resume <snapshot>` finishes reporting and classification from one.
 //
 // Format ("commscope-checkpoint 1"):
 //   commscope-checkpoint 1
@@ -89,10 +89,5 @@ struct Checkpoint {
 /// Loads a snapshot file; throws std::runtime_error (with the path) when
 /// unreadable or corrupt.
 [[nodiscard]] Checkpoint load_checkpoint(const std::string& path);
-
-/// Writes `contents` to `path` crash-safely: write to "<path>.tmp", flush,
-/// then rename over the target, so an interrupted save never truncates an
-/// existing good snapshot. Throws std::runtime_error on IO failure.
-void write_file_atomic(const std::string& path, std::string_view contents);
 
 }  // namespace commscope::resilience

@@ -8,6 +8,7 @@
 
 #include "core/epoch_io.hpp"
 #include "resilience/checkpoint.hpp"
+#include "support/atomic_file.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -226,7 +227,7 @@ void GuardedSink::write_checkpoint(std::uint64_t index,
   if (injector_ != nullptr) injector_->mutate_payload(snapshot);
   try {
     const std::uint64_t t0 = telemetry::Tracer::now_ns();
-    write_file_atomic(options_.checkpoint_path, snapshot);
+    support::write_file_atomic(options_.checkpoint_path, snapshot);
     if (telemetry::Tracer::enabled()) {
       telemetry::histogram("checkpoint.write_us")
           .record((telemetry::Tracer::now_ns() - t0) / 1000);
@@ -258,7 +259,8 @@ void GuardedSink::write_epoch_sidecar(const std::string& reason) {
   try {
     std::ostringstream os;
     core::write_epochs(os, recorder.timeline());
-    write_file_atomic(options_.checkpoint_path + ".epochs", os.str());
+    support::write_file_atomic(options_.checkpoint_path + ".epochs",
+                               os.str());
     telemetry::counter("recorder.sidecar_written").add(1);
   } catch (const std::exception& e) {
     telemetry::counter("recorder.sidecar_failed").add(1);

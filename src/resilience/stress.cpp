@@ -14,6 +14,7 @@
 #include "core/profiler.hpp"
 #include "instrument/sampling.hpp"
 #include "instrument/sink.hpp"
+#include "instrument/trace.hpp"
 #include "resilience/guarded_sink.hpp"
 #include "support/rng.hpp"
 #include "telemetry/metrics.hpp"
@@ -30,144 +31,117 @@ namespace {
 // processes, so failures reproduce from the seed alone.
 constexpr std::uintptr_t kArenaBase = 0x4000'0000ULL;
 
-enum class OpKind : std::uint8_t { kWrite, kRead, kLoopEnter, kLoopExit, kChurn };
-
-struct Step {
-  std::int16_t lane = 0;
-  OpKind op = OpKind::kRead;
-  std::uint16_t word = 0;
-};
-
-constexpr std::uintptr_t word_addr(std::uint16_t word) noexcept {
+constexpr std::uintptr_t word_addr(std::uint64_t word) noexcept {
   return kArenaBase + static_cast<std::uintptr_t>(word) * 8u;
 }
 
 // ---------------------------------------------------------------------------
 // Lockstep family: one global script, executed in exactly that order.
 
-std::vector<Step> make_lockstep_script(const StressOptions& o) {
+/// The script is a trace: one kThreadBegin per lane, then the seeded steps.
+/// A churn step is a second kThreadBegin for its lane — the lane's thread
+/// exits there and a replacement announces the lane again.
+std::vector<instrument::TraceEvent> make_lockstep_script(
+    const StressOptions& o) {
   support::SplitMix64 rng(o.seed * 0x9e3779b97f4a7c15ULL + 1);
-  std::vector<Step> script;
-  script.reserve(o.steps);
+  instrument::TraceRecorder script;
+  for (int l = 0; l < o.threads; ++l) script.on_thread_begin(l);
   // Track per-lane loop depth so exits stay meaningful, and space churns out
   // (each one costs a join+spawn) while still exercising several per run.
   std::vector<int> depth(static_cast<std::size_t>(o.threads), 0);
   std::vector<std::uint32_t> since_churn(static_cast<std::size_t>(o.threads),
                                          0);
   for (std::uint64_t i = 0; i < o.steps; ++i) {
-    Step st;
-    st.lane = static_cast<std::int16_t>(
+    const int lane = static_cast<int>(
         rng.next_below(static_cast<std::uint64_t>(o.threads)));
-    st.word = static_cast<std::uint16_t>(
-        rng.next_below(static_cast<std::uint64_t>(o.words)));
-    const std::size_t lane = static_cast<std::size_t>(st.lane);
+    const std::uint64_t word =
+        rng.next_below(static_cast<std::uint64_t>(o.words));
+    const auto loop = static_cast<instrument::LoopId>(1u + word % 4u);
+    int& d = depth[static_cast<std::size_t>(lane)];
+    std::uint32_t& since = since_churn[static_cast<std::size_t>(lane)];
     const std::uint64_t roll = rng.next_below(100);
     if (roll < 40) {
-      st.op = OpKind::kWrite;
+      script.on_access(lane, word_addr(word), 8,
+                       instrument::AccessKind::kWrite);
     } else if (roll < 82) {
-      st.op = OpKind::kRead;
+      script.on_access(lane, word_addr(word), 8, instrument::AccessKind::kRead);
     } else if (roll < 90) {
-      st.op = OpKind::kLoopEnter;
-      ++depth[lane];
-    } else if (roll < 97 || !o.churn || since_churn[lane] < 64) {
+      script.on_loop_enter(lane, loop);
+      ++d;
+    } else if (roll < 97 || !o.churn || since < 64) {
       // Exit degrades to enter at depth 0 (the profiler tolerates unbalanced
       // exits, but balanced scripts exercise real region nesting).
-      if (depth[lane] > 0) {
-        st.op = OpKind::kLoopExit;
-        --depth[lane];
+      if (d > 0) {
+        script.on_loop_exit(lane);
+        --d;
       } else {
-        st.op = OpKind::kLoopEnter;
-        ++depth[lane];
+        script.on_loop_enter(lane, loop);
+        ++d;
       }
     } else {
-      st.op = OpKind::kChurn;
-      since_churn[lane] = 0;
+      script.on_thread_begin(lane);
+      since = 0;
     }
-    ++since_churn[lane];
-    script.push_back(st);
+    ++since;
   }
-  return script;
+  return script.events();
 }
 
 struct LockstepShared {
   std::mutex mu;
   std::condition_variable cv;
-  const std::vector<Step>* script = nullptr;
+  const std::vector<instrument::TraceEvent>* script = nullptr;
   instrument::AccessSink* sink = nullptr;
   std::size_t next = 0;
   std::vector<int> respawns;  ///< lanes whose thread exited and awaits respawn
   std::uint64_t churns = 0;
 };
 
-void execute_step(instrument::AccessSink& sink, int lane, const Step& st) {
-  switch (st.op) {
-    case OpKind::kWrite:
-      sink.on_access(lane, word_addr(st.word), 8,
-                     instrument::AccessKind::kWrite);
-      break;
-    case OpKind::kRead:
-      sink.on_access(lane, word_addr(st.word), 8,
-                     instrument::AccessKind::kRead);
-      break;
-    case OpKind::kLoopEnter:
-      sink.on_loop_enter(lane,
-                         static_cast<instrument::LoopId>(1u + st.word % 4u));
-      break;
-    case OpKind::kLoopExit:
-      sink.on_loop_exit(lane);
-      break;
-    case OpKind::kChurn:
-      break;  // lifecycle event, not a sink event
-  }
-}
-
 void lockstep_lane(LockstepShared* sh, int lane) {
-  // Announce outside the turnstile: it only touches this lane's own region
-  // stack, and this thread has not executed any of the lane's steps yet, so
-  // ordering relative to other lanes cannot affect any result.
-  sh->sink->on_thread_begin(lane);
   // Touch the registry the way instrumented application threads do, so churn
   // really cycles leases even if the sink path never needs a dense id.
   (void)threading::ThreadRegistry::current_tid();
-  const std::vector<Step>& script = *sh->script;
+  const std::vector<instrument::TraceEvent>& script = *sh->script;
+  // A fresh thread's first step is its lane's kThreadBegin; a later one is a
+  // churn, which this thread leaves for its replacement to execute.
+  bool begun = false;
   std::unique_lock<std::mutex> lk(sh->mu);
   for (;;) {
     sh->cv.wait(lk, [&] {
-      return sh->next >= script.size() ||
-             script[sh->next].lane == static_cast<std::int16_t>(lane);
+      return sh->next >= script.size() || script[sh->next].tid == lane;
     });
     if (sh->next >= script.size()) return;
-    const Step st = script[sh->next];
-    if (st.op == OpKind::kChurn) {
+    const instrument::TraceEvent& e = script[sh->next];
+    if (begun && e.kind == instrument::TraceEvent::Kind::kThreadBegin) {
       // Drain inside the turnstile, before the hand-off is published: the
       // exiting thread's buffered accesses must reach the detector before
       // any later step of the script runs, or the scripted global order —
       // and with it oracle equality — is lost.
       sh->sink->on_drain(lane);
-      ++sh->next;
       ++sh->churns;
       sh->respawns.push_back(lane);
       sh->cv.notify_all();
       return;  // thread exits; its ThreadRegistry lease is reclaimed
     }
+    begun = true;
     // Holding the turnstile lock during the sink call is what makes the
     // global order exact. Other lanes are parked on the cv (outside the
     // sink), so a stop-the-world maintenance pass triggered by this event
     // drains immediately — no lock-order cycle.
-    execute_step(*sh->sink, lane, st);
+    instrument::dispatch(e, *sh->sink);
     ++sh->next;
     // Batched pipeline ordering point: a run of same-lane steps may stay
     // buffered (exercising multi-event batches), but the buffer must drain
-    // before the script hands the global order to another lane.
-    if (sh->next >= script.size() ||
-        script[sh->next].lane != static_cast<std::int16_t>(lane)) {
+    // before the script hands the global order to another lane — where
+    // instrument::replay() drains too.
+    if (sh->next >= script.size() || script[sh->next].tid != lane) {
       sh->sink->on_drain(lane);
     }
     sh->cv.notify_all();
   }
 }
 
-std::uint64_t run_lockstep(const std::vector<Step>& script,
+std::uint64_t run_lockstep(const std::vector<instrument::TraceEvent>& script,
                            instrument::AccessSink& sink, int threads) {
   LockstepShared sh;
   sh.script = &script;
@@ -204,19 +178,6 @@ std::uint64_t run_lockstep(const std::vector<Step>& script,
   return sh.churns;
 }
 
-void replay_lockstep(const std::vector<Step>& script,
-                     instrument::AccessSink& sink, int threads) {
-  for (int l = 0; l < threads; ++l) sink.on_thread_begin(l);
-  for (const Step& st : script) {
-    if (st.op == OpKind::kChurn) {
-      // The respawned thread re-announces its lane.
-      sink.on_thread_begin(st.lane);
-      continue;
-    }
-    execute_step(sink, st.lane, st);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Free-run family: barrier-phased, conflict-free by construction.
 
@@ -226,7 +187,6 @@ struct FreePlan {
   std::vector<std::vector<std::int16_t>> writer;
   /// reads[phase][lane] -> words that lane reads in the phase.
   std::vector<std::vector<std::vector<std::uint16_t>>> reads;
-  std::uint64_t accesses = 0;
 };
 
 FreePlan make_free_plan(const StressOptions& o) {
@@ -257,9 +217,7 @@ FreePlan make_free_plan(const StressOptions& o) {
               static_cast<std::uint16_t>(word));
         }
       }
-      plan.accesses += r[static_cast<std::size_t>(lane)].size();
     }
-    plan.accesses += static_cast<std::uint64_t>(o.words);
   }
   return plan;
 }
@@ -272,7 +230,7 @@ void free_lane(const FreePlan& plan, instrument::AccessSink& sink,
     const auto& w = plan.writer[static_cast<std::size_t>(p)];
     for (std::size_t word = 0; word < w.size(); ++word) {
       if (w[word] == static_cast<std::int16_t>(lane)) {
-        sink.on_access(lane, word_addr(static_cast<std::uint16_t>(word)), 8,
+        sink.on_access(lane, word_addr(word), 8,
                        instrument::AccessKind::kWrite);
       }
     }
@@ -304,9 +262,12 @@ void run_free(const FreePlan& plan, instrument::AccessSink& sink,
   for (std::thread& t : lanes) t.join();
 }
 
-void replay_free(const FreePlan& plan, instrument::AccessSink& sink,
-                 int threads) {
-  for (int l = 0; l < threads; ++l) sink.on_thread_begin(l);
+/// The free family's serial order for the oracle: per phase, every lane's
+/// writes, then every lane's reads.
+std::vector<instrument::TraceEvent> serialize_free(const FreePlan& plan,
+                                                   int threads) {
+  instrument::TraceRecorder trace;
+  for (int l = 0; l < threads; ++l) trace.on_thread_begin(l);
   for (int p = 0; p < plan.phases; ++p) {
     // The serial replay must issue each lane's accesses in the same per-lane
     // order as the concurrent run so a mirrored SamplingSink drops the same
@@ -316,8 +277,8 @@ void replay_free(const FreePlan& plan, instrument::AccessSink& sink,
     for (int lane = 0; lane < threads; ++lane) {
       for (std::size_t word = 0; word < w.size(); ++word) {
         if (w[word] == static_cast<std::int16_t>(lane)) {
-          sink.on_access(lane, word_addr(static_cast<std::uint16_t>(word)), 8,
-                         instrument::AccessKind::kWrite);
+          trace.on_access(lane, word_addr(word), 8,
+                          instrument::AccessKind::kWrite);
         }
       }
     }
@@ -325,11 +286,12 @@ void replay_free(const FreePlan& plan, instrument::AccessSink& sink,
       for (std::uint16_t word :
            plan.reads[static_cast<std::size_t>(p)][static_cast<std::size_t>(
                lane)]) {
-        sink.on_access(lane, word_addr(word), 8,
-                       instrument::AccessKind::kRead);
+        trace.on_access(lane, word_addr(word), 8,
+                        instrument::AccessKind::kRead);
       }
     }
   }
+  return trace.events();
 }
 
 // ---------------------------------------------------------------------------
@@ -349,7 +311,8 @@ struct GuardedRun {
   std::uint64_t reentrant_drops = 0;
 };
 
-GuardedRun run_guarded(const StressOptions& o, const std::vector<Step>& script,
+GuardedRun run_guarded(const StressOptions& o,
+                       const std::vector<instrument::TraceEvent>& script,
                        const FreePlan& plan) {
   core::ProfilerOptions po;
   po.max_threads = o.threads;
@@ -381,8 +344,8 @@ GuardedRun run_guarded(const StressOptions& o, const std::vector<Step>& script,
   return r;
 }
 
-core::Matrix run_oracle(const StressOptions& o, const std::vector<Step>& script,
-                        const FreePlan& plan) {
+core::Matrix run_oracle(const StressOptions& o,
+                        const std::vector<instrument::TraceEvent>& serial) {
   baseline::ShadowProfiler shadow(o.threads);
   std::optional<instrument::SamplingSink> sampler;
   instrument::AccessSink* top = &shadow;
@@ -390,12 +353,7 @@ core::Matrix run_oracle(const StressOptions& o, const std::vector<Step>& script,
     sampler.emplace(shadow, sampling_options(o.sampling));
     top = &*sampler;
   }
-  if (o.mode == StressMode::kLockstep) {
-    replay_lockstep(script, *top, o.threads);
-  } else {
-    replay_free(plan, *top, o.threads);
-  }
-  top->finalize();
+  instrument::replay(serial, *top);
   return shadow.communication_matrix();
 }
 
@@ -439,25 +397,26 @@ StressReport run_stress(const StressOptions& options) {
   StressReport report;
   report.options = options;
 
-  std::vector<Step> script;
+  // The serial order the oracle replays; the lockstep lanes execute it too.
   FreePlan plan;
+  std::vector<instrument::TraceEvent> serial;
   if (options.mode == StressMode::kLockstep) {
-    script = make_lockstep_script(options);
-    for (const Step& st : script) {
-      if (st.op == OpKind::kWrite || st.op == OpKind::kRead) ++report.accesses;
-    }
+    serial = make_lockstep_script(options);
   } else {
     plan = make_free_plan(options);
-    report.accesses = plan.accesses;
+    serial = serialize_free(plan, options.threads);
+  }
+  for (const instrument::TraceEvent& e : serial) {
+    if (e.kind == instrument::TraceEvent::Kind::kAccess) ++report.accesses;
   }
 
   const int leases_before = threading::ThreadRegistry::registered_count();
-  const GuardedRun first = run_guarded(options, script, plan);
+  const GuardedRun first = run_guarded(options, serial, plan);
   report.churns = first.churns;
   report.reentrant_drops = first.reentrant_drops;
   report.deterministic = true;
   if (options.verify_determinism) {
-    const GuardedRun second = run_guarded(options, script, plan);
+    const GuardedRun second = run_guarded(options, serial, plan);
     report.deterministic =
         first.matrix == second.matrix && first.churns == second.churns;
     report.reentrant_drops += second.reentrant_drops;
@@ -465,7 +424,7 @@ StressReport run_stress(const StressOptions& options) {
   report.registry_leases = static_cast<std::uint64_t>(
       threading::ThreadRegistry::registered_count() - leases_before);
 
-  const core::Matrix oracle = run_oracle(options, script, plan);
+  const core::Matrix oracle = run_oracle(options, serial);
   report.divergent_cells = count_divergent_cells(first.matrix, oracle);
   report.guarded_total = first.matrix.total();
   report.oracle_total = oracle.total();

@@ -12,14 +12,16 @@
 //
 // Two schedule families, chosen so the expected matrix is well-defined:
 //
-//  * kLockstep — a single seeded global script of (lane, op) steps executed
-//    by real threads through a condition-variable turnstile, so the sink
-//    observes exactly the scripted interleaving while every event still runs
-//    on a distinct OS thread (distinct registry leases, distinct safepoint
-//    slots). Churn steps make the executing thread exit mid-run; a
+//  * kLockstep — a single seeded global script (an instrument::TraceEvent
+//    stream) executed by real threads through a condition-variable
+//    turnstile, so the sink observes exactly the scripted interleaving while
+//    every event still runs on a distinct OS thread (distinct registry
+//    leases, distinct safepoint slots). A churn step is a second
+//    kThreadBegin for its lane: the executing thread exits there; a
 //    supervisor joins it (reclaiming its ThreadRegistry lease) and spawns a
-//    replacement that resumes the lane. The oracle replays the identical
-//    script serially, so equality must be exact.
+//    replacement that announces and resumes the lane. The oracle replays
+//    the identical script serially with instrument::replay(), so equality
+//    must be exact.
 //
 //  * kFree — barrier-phased truly-concurrent execution. Each phase assigns
 //    every word exactly one writer; writes run concurrently (disjoint

@@ -19,6 +19,7 @@
 #include "core/epoch_io.hpp"
 #include "serve/frame.hpp"
 #include "serve/wire_ctx.hpp"
+#include "support/atomic_file.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -165,9 +166,14 @@ void EpochShipper::load_spill() {
 
 void EpochShipper::write_spill() {
   if (options_.spill_path.empty() || pending_.epochs.empty()) return;
-  std::ofstream out(options_.spill_path, std::ios::binary | std::ios::trunc);
-  if (!out) return;
-  out << serialize_doc(pending_, pending_.epochs);
+  // Each spill rewrites every pending epoch, including the ones the previous
+  // spill held; replacing the file atomically keeps those if this write dies.
+  try {
+    support::write_file_atomic(options_.spill_path,
+                               serialize_doc(pending_, pending_.epochs));
+  } catch (const std::exception&) {
+    // Best effort: the epochs stay pending in memory for the next flush.
+  }
 }
 
 bool EpochShipper::ensure_connected() {

@@ -531,6 +531,34 @@ TEST(CliRecorder, CheckpointWritesEpochSidecar) {
   std::remove((ck + ".epochs").c_str());
 }
 
+TEST(CliRecorder, SaveTraceRunWritesAsManyCheckpointsAsItsReplay) {
+  // `run --save-trace` profiles by replaying the trace it just recorded, so
+  // it must write exactly the checkpoints `replay` of that trace writes with
+  // the same flags — no extra final checkpoint from a second finalize.
+  const std::string trace = "/tmp/commscope_cli_ckcount.trace";
+  const std::string ck = "/tmp/commscope_cli_ckcount.ck";
+  const std::string m = "/tmp/commscope_cli_ckcount.metrics";
+  const std::string flags =
+      " -q --epoch-every=1000 --checkpoint=" + ck + " --metrics-out=" + m;
+  const auto written = [&](const std::string& command) {
+    EXPECT_EQ(run_cli(command + flags).exit_code, 0) << command;
+    std::stringstream text;
+    text << std::ifstream(m).rdbuf();
+    std::string name;
+    std::string count = "none";
+    while (text >> name) {
+      if (name == "checkpoint.written" && text >> count) break;
+    }
+    return count;
+  };
+  const std::string run = written("run fft --threads=4 --save-trace=" + trace);
+  EXPECT_NE(run, "none");
+  EXPECT_EQ(run, written("replay " + trace));
+  for (const std::string& f : {trace, ck, ck + ".epochs", m}) {
+    std::remove(f.c_str());
+  }
+}
+
 TEST(CliRecorder, PhasesAloneWriteNoEpochSidecar) {
   // Phase windows are the recorder's second partition, not an epoch
   // trigger: the checkpoint is written, the epoch sidecar is not.

@@ -10,17 +10,21 @@
 //    ingest loop, so any divergence is a bug, not noise.
 //  * the same holds for the EXACT backend and for the classified-dependence
 //    path (which drain through the generic ingest_one path).
+//  * the same holds for recorded traces of every workload replica, epoch
+//    timeline included.
 //  * signature vs exact FPR must stay inside the Eq. 2 envelope (see the
 //    bound derivation at the FPR test).
 //
-// Trace shape: threads take turns emitting "runs" of events. Every run ends
-// with an explicit on_drain(tid) — the ordering points the harnesses use —
-// so the global processing order is identical at every batch size (within a
-// run only one thread appends; across runs the drain empties the batch
-// before the next thread starts). Runs are longer than the smaller batch
-// sizes, so batch-full flushes fire mid-run and cross-thread RAW pairs
-// straddle those internal flush boundaries; the final run is deliberately
-// left undrained so finalize()'s flush_all() is on the verified path too.
+// Trace shape: threads take turns emitting "runs" of events, recorded as an
+// instrument::TraceEvent stream and fed through instrument::replay(). Every
+// run ends at a tid switch, where replay() drains the outgoing thread — the
+// ordering points the harnesses use — so the global processing order is
+// identical at every batch size (within a run only one thread appends;
+// across runs the drain empties the batch before the next thread starts).
+// Runs are longer than the smaller batch sizes, so batch-full flushes fire
+// mid-run and cross-thread RAW pairs straddle those internal flush
+// boundaries; the final run ends the trace, so only finalize()'s flush_all()
+// drains it and that path is verified too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,31 +38,19 @@
 #include "core/profiler.hpp"
 #include "core/region_tree.hpp"
 #include "instrument/loop_registry.hpp"
+#include "instrument/trace.hpp"
 #include "support/rng.hpp"
 #include "support/simd.hpp"
+#include "threading/thread_pool.hpp"
+#include "workloads/workload.hpp"
 
 namespace cc = commscope::core;
 namespace ci = commscope::instrument;
 namespace cs = commscope::support;
+namespace ct = commscope::threading;
+namespace cw = commscope::workloads;
 
 namespace {
-
-enum class OpKind : std::uint8_t {
-  kThreadBegin,
-  kLoopEnter,
-  kLoopExit,
-  kAccess,
-  kDrain,
-};
-
-struct Op {
-  OpKind op;
-  int tid = 0;
-  ci::LoopId loop = 0;
-  std::uintptr_t addr = 0;
-  std::uint32_t size = 0;
-  ci::AccessKind kind = ci::AccessKind::kRead;
-};
 
 struct TraceShape {
   int threads = 4;
@@ -81,72 +73,50 @@ ci::LoopId trace_loop(int i) {
 
 /// Seeded trace generator. Addresses are synthetic (the detector only hashes
 /// them); the shared word pool makes cross-thread RAW pairs common.
-std::vector<Op> make_trace(std::uint64_t seed, const TraceShape& shape) {
+std::vector<ci::TraceEvent> make_trace(std::uint64_t seed,
+                                       const TraceShape& shape) {
   cs::SplitMix64 rng(seed);
-  std::vector<Op> ops;
+  ci::TraceRecorder rec;
   std::vector<int> depth(static_cast<std::size_t>(shape.threads), 0);
-  for (int t = 0; t < shape.threads; ++t) {
-    ops.push_back({OpKind::kThreadBegin, t});
-  }
+  for (int t = 0; t < shape.threads; ++t) rec.on_thread_begin(t);
   for (int round = 0; round < shape.rounds; ++round) {
     for (int t = 0; t < shape.threads; ++t) {
+      int& d = depth[static_cast<std::size_t>(t)];
       const int run_len =
           1 + static_cast<int>(rng.next_below(
                   static_cast<std::uint64_t>(shape.max_run)));
       for (int i = 0; i < run_len; ++i) {
         const double roll = rng.next_double();
-        if (roll < 0.08 && depth[static_cast<std::size_t>(t)] < 3) {
-          Op op{OpKind::kLoopEnter, t};
-          op.loop = trace_loop(static_cast<int>(rng.next_below(4)));
-          ops.push_back(op);
-          ++depth[static_cast<std::size_t>(t)];
-        } else if (roll < 0.14 && depth[static_cast<std::size_t>(t)] > 0) {
-          ops.push_back({OpKind::kLoopExit, t});
-          --depth[static_cast<std::size_t>(t)];
+        if (roll < 0.08 && d < 3) {
+          rec.on_loop_enter(t, trace_loop(static_cast<int>(rng.next_below(4))));
+          ++d;
+        } else if (roll < 0.14 && d > 0) {
+          rec.on_loop_exit(t);
+          --d;
         } else {
-          Op op{OpKind::kAccess, t};
-          op.addr = 0x100000u +
-                    8u * rng.next_below(static_cast<std::uint64_t>(shape.words));
-          op.size = (rng.next() & 1) ? 8 : 4;
-          op.kind = rng.next_double() < shape.write_prob
-                        ? ci::AccessKind::kWrite
-                        : ci::AccessKind::kRead;
-          ops.push_back(op);
+          const std::uintptr_t addr =
+              0x100000u +
+              8u * rng.next_below(static_cast<std::uint64_t>(shape.words));
+          const std::uint32_t size = (rng.next() & 1) ? 8 : 4;
+          rec.on_access(t, addr, size,
+                        rng.next_double() < shape.write_prob
+                            ? ci::AccessKind::kWrite
+                            : ci::AccessKind::kRead);
         }
       }
-      const bool last_run =
-          round == shape.rounds - 1 && t == shape.threads - 1;
-      // Every run ends at an ordering point — except the very last, whose
-      // partial batch is left for finalize()'s flush_all() to drain.
-      if (!last_run) ops.push_back({OpKind::kDrain, t});
+      // Close the thread's loops at the end of its last run, so every region
+      // sees a balanced enter/exit history (the generator tracks depth, the
+      // profiler just replays it).
+      for (; round == shape.rounds - 1 && d > 0; --d) rec.on_loop_exit(t);
     }
   }
-  // Close any loops still open so every region sees a balanced enter/exit
-  // history (the generator tracks depth, the profiler just replays it).
-  for (int t = 0; t < shape.threads; ++t) {
-    while (depth[static_cast<std::size_t>(t)] > 0) {
-      ops.push_back({OpKind::kLoopExit, t});
-      --depth[static_cast<std::size_t>(t)];
-    }
-  }
-  return ops;
+  return rec.events();
 }
 
-std::unique_ptr<cc::Profiler> replay(const std::vector<Op>& ops,
-                                     cc::ProfilerOptions options) {
+std::unique_ptr<cc::Profiler> profile(const std::vector<ci::TraceEvent>& trace,
+                                      cc::ProfilerOptions options) {
   auto prof = std::make_unique<cc::Profiler>(options);
-  for (const Op& op : ops) {
-    switch (op.op) {
-      case OpKind::kThreadBegin: prof->on_thread_begin(op.tid); break;
-      case OpKind::kLoopEnter: prof->on_loop_enter(op.tid, op.loop); break;
-      case OpKind::kLoopExit: prof->on_loop_exit(op.tid); break;
-      case OpKind::kAccess:
-        prof->on_access(op.tid, op.addr, op.size, op.kind);
-        break;
-      case OpKind::kDrain: prof->on_drain(op.tid); break;
-    }
-  }
-  prof->finalize();
+  ci::replay(trace, *prof);
   return prof;
 }
 
@@ -222,8 +192,8 @@ TEST(Differential, BatchedSignatureBitIdenticalAcrossBatchSizes) {
     TraceShape shape;
     shape.threads = g.threads;
     const auto ops = make_trace(g.seed, shape);
-    const auto baseline =
-        replay(ops, base_options(cc::Backend::kAsymmetricSignature, g.threads));
+    const auto baseline = profile(
+        ops, base_options(cc::Backend::kAsymmetricSignature, g.threads));
     // The identity check must not pass vacuously: every generated trace has
     // to exercise cross-thread RAW detection and nested-region attribution.
     ASSERT_GT(baseline->stats().dependencies, 0u);
@@ -231,7 +201,7 @@ TEST(Differential, BatchedSignatureBitIdenticalAcrossBatchSizes) {
     for (const std::uint32_t b : batches) {
       auto o = base_options(cc::Backend::kAsymmetricSignature, g.threads);
       o.batch_size = b;
-      expect_identical(*baseline, *replay(ops, o),
+      expect_identical(*baseline, *profile(ops, o),
                        case_name(g.seed, g.threads, b));
     }
   }
@@ -241,11 +211,11 @@ TEST(Differential, BatchedExactBackendBitIdentical) {
   TraceShape shape;
   const auto ops = make_trace(555, shape);
   const auto baseline =
-      replay(ops, base_options(cc::Backend::kExact, shape.threads));
+      profile(ops, base_options(cc::Backend::kExact, shape.threads));
   for (const std::uint32_t b : {3u, 64u, 256u}) {
     auto o = base_options(cc::Backend::kExact, shape.threads);
     o.batch_size = b;
-    expect_identical(*baseline, *replay(ops, o),
+    expect_identical(*baseline, *profile(ops, o),
                      case_name(555, shape.threads, b));
   }
 }
@@ -259,11 +229,11 @@ TEST(Differential, BatchedClassifiedPathBitIdentical) {
     const auto ops = make_trace(777, shape);
     auto base = base_options(backend, shape.threads);
     base.classify_dependences = true;
-    const auto baseline = replay(ops, base);
+    const auto baseline = profile(ops, base);
     for (const std::uint32_t b : {5u, 64u}) {
       auto o = base;
       o.batch_size = b;
-      expect_identical(*baseline, *replay(ops, o),
+      expect_identical(*baseline, *profile(ops, o),
                        case_name(777, shape.threads, b));
     }
   }
@@ -274,10 +244,10 @@ TEST(Differential, SparseRegionMatricesBitIdentical) {
   const auto ops = make_trace(888, shape);
   auto base = base_options(cc::Backend::kAsymmetricSignature, shape.threads);
   base.sparse_region_matrices = true;
-  const auto baseline = replay(ops, base);
+  const auto baseline = profile(ops, base);
   auto o = base;
   o.batch_size = 64;
-  expect_identical(*baseline, *replay(ops, o),
+  expect_identical(*baseline, *profile(ops, o),
                    case_name(888, shape.threads, 64));
 }
 
@@ -294,7 +264,7 @@ TEST(Differential, EpochDeltasSumToFinalMatrixBitForBit) {
     auto o = base_options(cc::Backend::kAsymmetricSignature, shape.threads);
     o.epoch_accesses = 256;            // many seals across the run
     o.epoch_ring = cc::kMaxEpochRing;  // keep every epoch: exact identity
-    const auto prof = replay(ops, o);
+    const auto prof = profile(ops, o);
     ASSERT_GT(prof->stats().dependencies, 0u);
     const cc::EpochTimeline t = prof->epoch_timeline();
     ASSERT_GT(t.epochs.size(), 1u) << "trigger never fired; test is vacuous";
@@ -314,12 +284,12 @@ TEST(Differential, EpochTimelineBitIdenticalAcrossBatchSizes) {
   auto base = base_options(cc::Backend::kAsymmetricSignature, shape.threads);
   base.epoch_accesses = 257;  // prime: boundaries land mid-batch everywhere
   base.epoch_ring = cc::kMaxEpochRing;
-  const cc::EpochTimeline want = replay(ops, base)->epoch_timeline();
+  const cc::EpochTimeline want = profile(ops, base)->epoch_timeline();
   ASSERT_GT(want.epochs.size(), 1u);
   for (const std::uint32_t b : {1u, 7u, 64u, 256u}) {
     auto o = base;
     o.batch_size = b;
-    const cc::EpochTimeline got = replay(ops, o)->epoch_timeline();
+    const cc::EpochTimeline got = profile(ops, o)->epoch_timeline();
     SCOPED_TRACE(case_name(3333, shape.threads, b));
     EXPECT_EQ(got.sealed, want.sealed);
     EXPECT_EQ(got.dropped, want.dropped);
@@ -342,13 +312,13 @@ struct PhaseReference {
   std::vector<std::uint64_t> accesses;
 };
 
-PhaseReference regroup_by_volume(const std::vector<Op>& ops,
+PhaseReference regroup_by_volume(const std::vector<ci::TraceEvent>& ops,
                                  cc::ProfilerOptions o,
                                  std::uint64_t window_bytes) {
   o.phase_window_bytes = 0;
   o.epoch_accesses = 1;
   o.epoch_ring = cc::kMaxEpochRing;
-  const auto prof = replay(ops, o);
+  const auto prof = profile(ops, o);
   const cc::EpochTimeline t = prof->epoch_timeline();
   EXPECT_EQ(t.dropped, 0u);
   PhaseReference ref;
@@ -396,7 +366,7 @@ TEST(Differential, PhaseWindowsMatchFixedVolumeRegrouping) {
           auto o = base_options(backend, g.threads);
           o.phase_window_bytes = width;
           o.batch_size = b;
-          const auto got = replay(ops, o);
+          const auto got = profile(ops, o);
           SCOPED_TRACE(case_name(g.seed, g.threads, b) +
                        " width=" + std::to_string(width) + " backend=" +
                        (backend == cc::Backend::kExact ? "exact" : "sig"));
@@ -457,14 +427,14 @@ TEST(Differential, SimdOnOffProducesByteIdenticalMatrixAndEpochFiles) {
     o.epoch_ring = cc::kMaxEpochRing;
 
     cs::simd_force_scalar(false);
-    const auto dispatched = replay(ops, o);
+    const auto dispatched = profile(ops, o);
     ASSERT_GT(dispatched->stats().dependencies, 0u);
     const std::string matrix_dispatched = matrix_bytes(*dispatched);
     const std::string epochs_dispatched = epoch_bytes(*dispatched);
 
     cs::simd_force_scalar(true);
     ASSERT_EQ(cs::simd_level(), cs::SimdLevel::kScalar);
-    const auto scalar = replay(ops, o);
+    const auto scalar = profile(ops, o);
     const std::string matrix_scalar = matrix_bytes(*scalar);
     const std::string epochs_scalar = epoch_bytes(*scalar);
     cs::simd_force_scalar(false);
@@ -486,16 +456,43 @@ TEST(Differential, ScalarForcedBatchedStillMatchesUnbatchedInline) {
   TraceShape shape;
   const auto ops = make_trace(6006, shape);
   const auto o = base_options(cc::Backend::kAsymmetricSignature, shape.threads);
-  const auto inline_dispatched = replay(ops, o);
+  const auto inline_dispatched = profile(ops, o);
   ASSERT_GT(inline_dispatched->stats().dependencies, 0u);
   cs::simd_force_scalar(true);
   auto batched = o;
   batched.batch_size = 64;
-  const auto batched_scalar = replay(ops, batched);
+  const auto batched_scalar = profile(ops, batched);
   cs::simd_force_scalar(false);
   expect_identical(*inline_dispatched, *batched_scalar,
                    "scalar batched vs dispatched inline");
   EXPECT_EQ(matrix_bytes(*inline_dispatched), matrix_bytes(*batched_scalar));
+}
+
+// --- real-workload replay identity (label: differential) --------------------
+//
+// The synthetic traces above are shaped to stress the batch layer; this pins
+// it on the sharing patterns the paper profiles. Each workload replica is
+// recorded once at 4 threads, and its trace is replayed unbatched and at
+// batch 64 with both recorder partitions on. The whole-program matrix, the
+// region matrices, the epoch timeline and the phase windows must all match.
+
+TEST(Differential, WorkloadTracesReplayBitIdenticalAcrossBatchSizes) {
+  constexpr int kThreads = 4;
+  ASSERT_EQ(cw::registry().size(), 14u);
+  ct::ThreadTeam team(kThreads);
+  for (const cw::Workload& w : cw::registry()) {
+    ci::TraceRecorder rec;
+    ASSERT_TRUE(w.run(cw::Scale::kDev, team, &rec).ok) << w.name;
+    auto o = base_options(cc::Backend::kAsymmetricSignature, kThreads);
+    o.epoch_accesses = 10007;
+    o.epoch_ring = cc::kMaxEpochRing;
+    const auto want = profile(rec.events(), o);
+    ASSERT_GT(want->epoch_timeline().epochs.size(), 1u) << w.name;
+    o.batch_size = 64;
+    const auto got = profile(rec.events(), o);
+    expect_identical(*want, *got, w.name + " batch=64");
+    EXPECT_EQ(epoch_bytes(*want), epoch_bytes(*got)) << w.name;
+  }
 }
 
 // --- FPR vs exact ----------------------------------------------------------
@@ -523,8 +520,8 @@ TEST(Differential, SignatureFprVsExactStaysUnderEq2Bound) {
     sig_o.batch_size = 64;
     auto exact_o = base_options(cc::Backend::kExact, shape.threads);
     exact_o.batch_size = 64;
-    const auto sig = replay(ops, sig_o);
-    const auto exact = replay(ops, exact_o);
+    const auto sig = profile(ops, sig_o);
+    const auto exact = profile(ops, exact_o);
 
     const auto ss = sig->stats();
     const auto es = exact->stats();

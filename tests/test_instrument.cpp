@@ -1,6 +1,7 @@
 // Instrumentation-layer tests: loop registry, RAII loop scopes, the
 // COMMSCOPE_LOOP macro's once-per-site UID semantics, TracedSpan event
-// emission, NullSink zero-cost property.
+// emission, NullSink zero-cost property. Emitted events are captured with
+// instrument::TraceRecorder.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -8,45 +9,10 @@
 #include "instrument/loop_registry.hpp"
 #include "instrument/loop_scope.hpp"
 #include "instrument/sink.hpp"
+#include "instrument/trace.hpp"
 #include "instrument/traced.hpp"
 
 namespace ci = commscope::instrument;
-
-namespace {
-
-/// Recording sink capturing the full event stream for assertions.
-class RecordingSink final : public ci::AccessSink {
- public:
-  struct Event {
-    enum Kind { kThreadBegin, kLoopEnter, kLoopExit, kAccess } kind;
-    int tid = 0;
-    ci::LoopId loop = ci::kNoLoop;
-    std::uintptr_t addr = 0;
-    std::uint32_t size = 0;
-    ci::AccessKind access = ci::AccessKind::kRead;
-  };
-
-  void on_thread_begin(int tid) override {
-    events.push_back({Event::kThreadBegin, tid, ci::kNoLoop, 0, 0,
-                      ci::AccessKind::kRead});
-  }
-  void on_loop_enter(int tid, ci::LoopId id) override {
-    events.push_back(
-        {Event::kLoopEnter, tid, id, 0, 0, ci::AccessKind::kRead});
-  }
-  void on_loop_exit(int tid) override {
-    events.push_back(
-        {Event::kLoopExit, tid, ci::kNoLoop, 0, 0, ci::AccessKind::kRead});
-  }
-  void on_access(int tid, std::uintptr_t addr, std::uint32_t size,
-                 ci::AccessKind kind) override {
-    events.push_back({Event::kAccess, tid, ci::kNoLoop, addr, size, kind});
-  }
-
-  std::vector<Event> events;
-};
-
-}  // namespace
 
 TEST(LoopRegistry, AssignsDenseUniqueIds) {
   auto& reg = ci::LoopRegistry::instance();
@@ -65,21 +31,21 @@ TEST(LoopRegistry, UnknownIdYieldsPlaceholder) {
 }
 
 TEST(LoopScope, EmitsEnterAndExit) {
-  RecordingSink sink;
+  ci::TraceRecorder sink;
   const ci::LoopId id = ci::LoopRegistry::instance().declare("s", "x");
   {
     ci::LoopScope scope(static_cast<ci::AccessSink&>(sink), 3, id);
-    ASSERT_EQ(sink.events.size(), 1u);
-    EXPECT_EQ(sink.events[0].kind, RecordingSink::Event::kLoopEnter);
-    EXPECT_EQ(sink.events[0].tid, 3);
-    EXPECT_EQ(sink.events[0].loop, id);
+    ASSERT_EQ(sink.size(), 1u);
+    EXPECT_EQ(sink.events()[0].kind, ci::TraceEvent::Kind::kLoopEnter);
+    EXPECT_EQ(sink.events()[0].tid, 3);
+    EXPECT_EQ(sink.events()[0].payload, id);
   }
-  ASSERT_EQ(sink.events.size(), 2u);
-  EXPECT_EQ(sink.events[1].kind, RecordingSink::Event::kLoopExit);
+  ASSERT_EQ(sink.size(), 2u);
+  EXPECT_EQ(sink.events()[1].kind, ci::TraceEvent::Kind::kLoopExit);
 }
 
 TEST(LoopScope, MacroDeclaresOncePerSite) {
-  RecordingSink sink;
+  ci::TraceRecorder sink;
   ci::AccessSink& s = sink;
   const std::size_t before = ci::LoopRegistry::instance().size();
   for (int rep = 0; rep < 5; ++rep) {
@@ -87,11 +53,11 @@ TEST(LoopScope, MacroDeclaresOncePerSite) {
   }
   // Five dynamic executions, one static declaration.
   EXPECT_EQ(ci::LoopRegistry::instance().size(), before + 1);
-  EXPECT_EQ(sink.events.size(), 10u);  // 5 x (enter + exit)
+  EXPECT_EQ(sink.size(), 10u);  // 5 x (enter + exit)
   // Every execution reused the same UID.
-  const ci::LoopId first = sink.events[0].loop;
-  for (std::size_t e = 0; e < sink.events.size(); e += 2) {
-    EXPECT_EQ(sink.events[e].loop, first);
+  const std::uint64_t first = sink.events()[0].payload;
+  for (std::size_t e = 0; e < sink.size(); e += 2) {
+    EXPECT_EQ(sink.events()[e].payload, first);
   }
 }
 
@@ -103,37 +69,38 @@ TEST(LoopScope, NullSinkSpecializationCompilesToNothing) {
 }
 
 TEST(TracedSpan, ReadsEmitReadEvents) {
-  RecordingSink sink;
+  ci::TraceRecorder sink;
   std::vector<double> data{1.0, 2.0, 3.0};
   ci::TracedSpan<double, ci::AccessSink> span(data, sink, 7);
   EXPECT_DOUBLE_EQ(span[1], 2.0);
   EXPECT_DOUBLE_EQ(span.load(2), 3.0);
-  ASSERT_EQ(sink.events.size(), 2u);
-  EXPECT_EQ(sink.events[0].access, ci::AccessKind::kRead);
-  EXPECT_EQ(sink.events[0].addr, reinterpret_cast<std::uintptr_t>(&data[1]));
-  EXPECT_EQ(sink.events[0].size, sizeof(double));
-  EXPECT_EQ(sink.events[0].tid, 7);
+  ASSERT_EQ(sink.size(), 2u);
+  EXPECT_EQ(sink.events()[0].access, ci::AccessKind::kRead);
+  EXPECT_EQ(sink.events()[0].payload,
+            reinterpret_cast<std::uintptr_t>(&data[1]));
+  EXPECT_EQ(sink.events()[0].size, sizeof(double));
+  EXPECT_EQ(sink.events()[0].tid, 7);
 }
 
 TEST(TracedSpan, StoresEmitWriteEventsAndMutate) {
-  RecordingSink sink;
+  ci::TraceRecorder sink;
   std::vector<int> data{0, 0};
   ci::TracedSpan<int, ci::AccessSink> span(data, sink, 2);
   span.store(1, 42);
   EXPECT_EQ(data[1], 42);
-  ASSERT_EQ(sink.events.size(), 1u);
-  EXPECT_EQ(sink.events[0].access, ci::AccessKind::kWrite);
+  ASSERT_EQ(sink.size(), 1u);
+  EXPECT_EQ(sink.events()[0].access, ci::AccessKind::kWrite);
 }
 
 TEST(TracedSpan, UpdateEmitsReadThenWrite) {
-  RecordingSink sink;
+  ci::TraceRecorder sink;
   std::vector<int> data{10};
   ci::TracedSpan<int, ci::AccessSink> span(data, sink, 0);
   span.update(0, [](int v) { return v + 5; });
   EXPECT_EQ(data[0], 15);
-  ASSERT_EQ(sink.events.size(), 2u);
-  EXPECT_EQ(sink.events[0].access, ci::AccessKind::kRead);
-  EXPECT_EQ(sink.events[1].access, ci::AccessKind::kWrite);
+  ASSERT_EQ(sink.size(), 2u);
+  EXPECT_EQ(sink.events()[0].access, ci::AccessKind::kRead);
+  EXPECT_EQ(sink.events()[1].access, ci::AccessKind::kWrite);
 }
 
 TEST(TracedSpan, NullSinkVariantIsPureView) {
@@ -147,12 +114,12 @@ TEST(TracedSpan, NullSinkVariantIsPureView) {
 }
 
 TEST(SinkConvenience, TypedReadWriteCarrySizeof) {
-  RecordingSink sink;
+  ci::TraceRecorder sink;
   double d = 0.0;
   float f = 0.0f;
   sink.read(1, &d);
   sink.write(2, &f);
-  ASSERT_EQ(sink.events.size(), 2u);
-  EXPECT_EQ(sink.events[0].size, 8u);
-  EXPECT_EQ(sink.events[1].size, 4u);
+  ASSERT_EQ(sink.size(), 2u);
+  EXPECT_EQ(sink.events()[0].size, 8u);
+  EXPECT_EQ(sink.events()[1].size, 4u);
 }

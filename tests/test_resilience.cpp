@@ -19,6 +19,7 @@
 #include "resilience/guarded_sink.hpp"
 #include "resilience/resource_guard.hpp"
 #include "sigmem/exact_signature.hpp"
+#include "support/atomic_file.hpp"
 #include "support/memtrack.hpp"
 
 namespace cc = commscope::core;
@@ -376,13 +377,25 @@ TEST(Checkpoint, MissingTrailerRejected) {
 
 TEST(Checkpoint, AtomicWriteReplacesNotTruncates) {
   const std::string path = temp_path("ck_atomic.tmp");
-  cr::write_file_atomic(path, "first version\n");
-  cr::write_file_atomic(path, "second version\n");
+  cs::write_file_atomic(path, "first version, which is longer\n");
+  cs::write_file_atomic(path, "second version\n");
   std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "second version");
+  std::stringstream content;
+  content << in.rdbuf();
+  EXPECT_EQ(content.str(), "second version\n");
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good()) << "temporary left behind";
   std::remove(path.c_str());
+}
+
+TEST(Checkpoint, AtomicWriteFailureNamesThePathAndLeavesNoTemporary) {
+  const std::string path = temp_path("no_such_dir") + "/ck.bin";
+  try {
+    cs::write_file_atomic(path, "payload\n");
+    FAIL() << "write into a missing directory succeeded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
 }
 
 TEST(GuardedSink, KilledReplayLeavesResumableCheckpoint) {

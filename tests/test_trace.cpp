@@ -29,8 +29,7 @@ TEST(TraceRecorder, CapturesAllEventKindsInOrder) {
   ASSERT_EQ(rec.size(), 5u);
   EXPECT_EQ(rec.events()[0].kind, ci::TraceEvent::Kind::kThreadBegin);
   EXPECT_EQ(rec.events()[1].payload, 7u);
-  EXPECT_EQ(rec.events()[2].access,
-            static_cast<std::uint8_t>(ci::AccessKind::kWrite));
+  EXPECT_EQ(rec.events()[2].access, ci::AccessKind::kWrite);
   EXPECT_EQ(rec.events()[3].tid, 3);
   EXPECT_EQ(rec.events()[4].kind, ci::TraceEvent::Kind::kLoopExit);
   EXPECT_EQ(rec.byte_size(), 5 * sizeof(ci::TraceEvent));
@@ -108,13 +107,36 @@ TEST(TraceReplay, SignatureProfilerOnTraceMatchesExactWhenAmple) {
   EXPECT_NEAR(ts / te, 1.0, 0.02);
 }
 
+TEST(TraceReplay, RoundRobinKeepsProgramOrderInFixedTurns) {
+  // tid 0 issues 300 accesses and tid 1 ten, interleaved one for one:
+  // round_robin deals 256 of tid 0's, then tid 1's ten, then tid 0's last
+  // 44, each tid's events in the order it issued them.
+  ci::TraceRecorder rec;
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    rec.on_access(0, i, 8, ci::AccessKind::kWrite);
+    if (i < 10) rec.on_access(1, i, 8, ci::AccessKind::kRead);
+  }
+  const std::vector<ci::TraceEvent> rr = ci::round_robin(rec.events());
+  ASSERT_EQ(rr.size(), 310u);
+  for (std::size_t i = 0; i < rr.size(); ++i) {
+    const bool tid1 = i >= 256 && i < 266;
+    EXPECT_EQ(rr[i].tid, tid1 ? 1 : 0) << i;
+    EXPECT_EQ(rr[i].payload, i < 256 ? i : tid1 ? i - 256 : i - 10) << i;
+  }
+}
+
 TEST(TraceIo, RoundTripPreservesEventsAndLoopLabels) {
   const ci::LoopId loop =
       ci::LoopRegistry::instance().declare("traceio", "hotloop");
+  // A loop name with spaces runs to the end of its line in the loop table.
+  const ci::LoopId spaced =
+      ci::LoopRegistry::instance().declare("traceio", "my hot loop");
   ci::TraceRecorder rec;
   rec.on_thread_begin(1);
   rec.on_loop_enter(1, loop);
   rec.on_access(1, 0xdeadbeef, 16, ci::AccessKind::kRead);
+  rec.on_loop_exit(1);
+  rec.on_loop_enter(1, spaced);
   rec.on_loop_exit(1);
 
   std::stringstream ss;
@@ -133,6 +155,9 @@ TEST(TraceIo, RoundTripPreservesEventsAndLoopLabels) {
   EXPECT_EQ(ci::LoopRegistry::instance().label(
                 static_cast<ci::LoopId>(loaded[1].payload)),
             "traceio:hotloop");
+  EXPECT_EQ(ci::LoopRegistry::instance().label(
+                static_cast<ci::LoopId>(loaded[4].payload)),
+            "traceio:my hot loop");
   // Address payloads are never remapped.
   EXPECT_EQ(loaded[2].payload, 0xdeadbeefu);
 }

@@ -625,7 +625,7 @@ int cmd_run(const cs::ArgParser& args) {
     ci::write_trace(out, recorder.events());
     log << recorder.size() << " events written to " << args.get("save-trace")
         << "\n";
-    ci::replay(recorder.events(), *sink);
+    ci::replay(recorder.events(), *sink);  // replay() finalizes the sink itself
   } else {
     ctl::ScopedSpan span(w->name.c_str(), ctl::SpanCat::kRun);
     if (!w->run(scale, team, sink).ok) {
@@ -636,7 +636,7 @@ int cmd_run(const cs::ArgParser& args) {
   overhead.instrumented_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  sink->finalize();
+  if (!args.has("save-trace")) sink->finalize();
 
   // Self-measured Fig. 4 factor: re-run the same kernel against the
   // NullSink-compiled native twin. Skipped under --quiet (the paragraph
