@@ -227,13 +227,6 @@ void FlightRecorder::seal(EpochSeal reason) noexcept {
         return;
       }
       break;
-    case EpochSeal::kBatches:
-      if (batches_.load(std::memory_order_relaxed) -
-              window_first_batch_.load(std::memory_order_relaxed) <
-          options_.every_batches) {
-        return;
-      }
-      break;
     case EpochSeal::kTimer:
       if (steady_now_ns() - last_seal_ns_.load(std::memory_order_relaxed) <
           static_cast<std::uint64_t>(options_.every_millis) * 1000000ULL) {
@@ -295,8 +288,6 @@ void FlightRecorder::seal_epoch_locked(EpochSeal reason) {
   }
   telemetry::counter("recorder.epochs").add(1);
   telemetry::Tracer::instant("epoch_seal", telemetry::SpanCat::kEpoch);
-  window_first_batch_.store(batches_.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
   last_seal_ns_.store(steady_now_ns(), std::memory_order_relaxed);
 }
 

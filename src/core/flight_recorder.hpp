@@ -63,7 +63,7 @@ namespace commscope::core {
 /// Why an epoch was sealed (serialized into the epoch file as provenance).
 enum class EpochSeal : std::uint8_t {
   kAccesses,    ///< the every-N-accesses trigger fired
-  kBatches,     ///< the every-K-drained-batches trigger fired
+  kBatches,     ///< retired batch trigger; still parsed from older files
   kTimer,       ///< the every-T-milliseconds trigger fired
   kCheckpoint,  ///< GuardedSink checkpoint boundary
   kFinalize,    ///< end of run
@@ -137,7 +137,6 @@ struct EpochTimeline {
 struct FlightRecorderOptions {
   int threads = 0;
   std::uint64_t every_accesses = 0;  ///< seal every N access events; 0 = off
-  std::uint32_t every_batches = 0;   ///< seal every K drained batches; 0 = off
   std::uint32_t every_millis = 0;    ///< seal every T milliseconds; 0 = off
   std::uint32_t capacity = 0;        ///< ring size; 0 = default when enabled
   /// Phase partition: seal a window right after the dependency that brings
@@ -155,7 +154,7 @@ struct FlightRecorderOptions {
 
   /// True when an epoch trigger is set (the phase volume is not one).
   [[nodiscard]] bool enabled() const noexcept {
-    return every_accesses != 0 || every_batches != 0 || every_millis != 0;
+    return every_accesses != 0 || every_millis != 0;
   }
 };
 
@@ -212,16 +211,6 @@ class FlightRecorder {
       publish_accesses(stride_);
     }
     tl.pending += k;
-  }
-
-  /// Counts one drained micro-batch; seals when the batch trigger is due.
-  void count_batch() noexcept {
-    if (options_.every_batches == 0) return;
-    const std::uint64_t b = batches_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (b - window_first_batch_.load(std::memory_order_relaxed) >=
-        options_.every_batches) {
-      seal(EpochSeal::kBatches);
-    }
   }
 
   /// Feeds one detected dependency attributed to `loop` on the consumer
@@ -357,10 +346,6 @@ class FlightRecorder {
   std::uint64_t volume_stride_ = 1;  ///< thread-local volume coalescing width
 
   std::atomic<std::uint64_t> accesses_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  /// Batch count at the current epoch's start (the batch trigger compares
-  /// against it without taking the mutex).
-  std::atomic<std::uint64_t> window_first_batch_{0};
   /// Read by the timer poll without the lock, written by every epoch seal.
   std::atomic<std::uint64_t> last_seal_ns_{0};
   /// Published phase volume (bytes), on a line of its own: it is the one

@@ -34,7 +34,6 @@ Profiler::Profiler(ProfilerOptions options)
                 : nullptr),
       recorder_(FlightRecorderOptions{options.max_threads,
                                       options.epoch_accesses,
-                                      options.epoch_batches,
                                       options.epoch_millis,
                                       options.epoch_ring,
                                       options.phase_window_bytes,
@@ -171,7 +170,6 @@ void Profiler::flush_batch(int tid) {
   batch_flushes_->add(1);
   batch_events_->add(n);
   if (n < options_.batch_size) batch_partial_->add(1);
-  recorder_.count_batch();
 
   if (c.stack.empty()) c.stack.push_back(&tree_.root());
   auto* det = std::get_if<AsymmetricDetector>(&backend_);

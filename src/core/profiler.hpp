@@ -76,11 +76,9 @@ struct ProfilerOptions {
   /// Flight-recorder epoch triggers (time-resolved communication). All zero
   /// (the default) disables epochs — no ring, no window matrix, and with
   /// phases off, zero hot-path cost beyond one predicted branch. Any nonzero
-  /// trigger arms it: an epoch seals every `epoch_accesses` raw accesses,
-  /// every `epoch_batches` drained micro-batches, and/or every
-  /// `epoch_millis` milliseconds, whichever fires first.
+  /// trigger arms it: an epoch seals every `epoch_accesses` raw accesses
+  /// and/or every `epoch_millis` milliseconds, whichever fires first.
   std::uint64_t epoch_accesses = 0;
-  std::uint32_t epoch_batches = 0;
   std::uint32_t epoch_millis = 0;
   /// Epoch ring capacity; 0 means kDefaultEpochRing when a trigger is set.
   std::uint32_t epoch_ring = 0;

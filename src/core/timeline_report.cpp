@@ -221,8 +221,7 @@ void render_text(std::ostream& os, const ReportModel& model) {
   }
   os << "\n";
   if (t.epochs.empty()) {
-    os << "(no epochs recorded — set --epoch-every / --epoch-batches / "
-          "--epoch-ms)\n";
+    os << "(no epochs recorded — set --epoch-every / --epoch-ms)\n";
     return;
   }
 

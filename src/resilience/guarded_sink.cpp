@@ -94,11 +94,11 @@ GuardedSink::GuardedSink(core::Profiler& profiler, ResourceGuard* guard,
               : 0) {
   if (!precise_ && guard_ != nullptr &&
       guard_->options().mem_budget_bytes != 0) {
-    // Coarse mode: budget crossings are sensed on the allocation path, and
-    // the access path polls the sink-owned pending flag. The observer slot
-    // is free here — an attached fault injector (the other observer user)
-    // forces precise mode.
-    guard_->bind_pending(coarse_pending_);
+    // Coarse mode: budget crossings are sensed on the allocation path and
+    // raise a bit in the pause word the access path already polls. The
+    // observer slot is free here — an attached fault injector (the other
+    // observer user) forces precise mode.
+    guard_->bind_pending(pause_, kBudgetCrossed);
     profiler_->memory().set_observer(guard_);
     observer_installed_ = true;
     guard_->prime();
@@ -168,19 +168,11 @@ void GuardedSink::flush() noexcept {
   }
 }
 
-void GuardedSink::coarse_backout(Slot& s) noexcept {
-  // Budget crossed (or a check is in flight): back out, run/await the
-  // stop-the-world check, then let the caller retry the enter.
-  s.active.store(0, std::memory_order_release);
-  coarse_tick();
-  while (coarse_pending_.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-}
-
 void GuardedSink::coarse_tick() {
   std::unique_lock<std::mutex> lock(maintenance_mu_, std::try_to_lock);
-  if (!lock.owns_lock()) return;  // another thread is already handling it
+  if (!lock.owns_lock()) return;  // another thread holds the world
+  // Another appender may have run the check since this one saw the bit.
+  if ((pause_.load(std::memory_order_acquire) & kBudgetCrossed) == 0) return;
   telemetry::ScopedSpan span("guard_check", telemetry::SpanCat::kGuard);
   stop_the_world();
   // Drain first so the stats the guard sees (and any ladder rung that
@@ -311,38 +303,20 @@ void GuardedSink::on_access(int tid, std::uintptr_t addr, std::uint32_t size,
     return;
   }
   t_last_tid = tid;  // remembered for the thread-exit micro-batch drain
-  if (!precise_) {
-    if (!gate_) {
-      profiler_->on_access(tid, addr, size, kind);
+  if (precise_) {
+    (void)begin_event();
+    if (guard_ != nullptr && guard_->suppress_accesses()) {
+      suppressed_.fetch_add(1, std::memory_order_relaxed);
+      telemetry::counter("sink.suppressed").add(1);
       return;
     }
-    // Coarse fast path. The guard's pending flag doubles as the Dekker pause
-    // flag: the world only ever stops while it is set (coarse_tick() clears
-    // it, with release, only after the check completes), so one acquire load
-    // is both the budget poll and the safepoint check. Suppression needs no
-    // check here — it is event-budget driven, and an event budget forces
-    // precise mode.
-    Slot& s = slots_[static_cast<std::size_t>(tid) & 63];
-    for (;;) {
-      if (asym_) {
-        s.active.store(1, std::memory_order_relaxed);
-        std::atomic_signal_fence(std::memory_order_seq_cst);
-      } else {
-        s.active.store(1, std::memory_order_seq_cst);
-      }
-      if (!coarse_pending_.load(std::memory_order_acquire)) [[likely]] break;
-      coarse_backout(s);
-    }
+  } else if (!gate_) {
     profiler_->on_access(tid, addr, size, kind);
-    safepoint_leave(s);
     return;
   }
-  (void)begin_event();
-  if (guard_ != nullptr && guard_->suppress_accesses()) {
-    suppressed_.fetch_add(1, std::memory_order_relaxed);
-    telemetry::counter("sink.suppressed").add(1);
-    return;
-  }
+  // Coarse mode needs no suppression check: suppression is event-budget
+  // driven, and an event budget forces precise mode. Its budget poll is the
+  // safepoint check itself (the budget bit lives in the pause word).
   Slot& s = slots_[static_cast<std::size_t>(tid) & 63];
   safepoint_enter(s);
   profiler_->on_access(tid, addr, size, kind);
@@ -364,20 +338,7 @@ void GuardedSink::on_drain(int tid) {
     return;
   }
   Slot& s = slots_[static_cast<std::size_t>(tid) & 63];
-  if (!precise_) {
-    for (;;) {
-      if (asym_) {
-        s.active.store(1, std::memory_order_relaxed);
-        std::atomic_signal_fence(std::memory_order_seq_cst);
-      } else {
-        s.active.store(1, std::memory_order_seq_cst);
-      }
-      if (!coarse_pending_.load(std::memory_order_acquire)) [[likely]] break;
-      coarse_backout(s);
-    }
-  } else {
-    safepoint_enter(s);
-  }
+  safepoint_enter(s);
   profiler_->on_drain(tid);
   safepoint_leave(s);
 }
@@ -404,17 +365,18 @@ inline void GuardedSink::safepoint_enter(Slot& s) noexcept {
   if (asym_) {
     // Asymmetric Dekker: the membarrier in stop_the_world() interposes a
     // full barrier in this thread, so either our store is visible to the
-    // maintainer or our (acquire) load sees its pause flag. The acquire
-    // also pairs with resume_the_world()'s release so post-maintenance
-    // structure changes are visible before we touch the profiler.
+    // maintainer or our (acquire) load sees its pause bit. The acquire
+    // also pairs with resume_the_world()'s and the guard check's releases,
+    // so post-maintenance structure changes are visible before we touch the
+    // profiler.
     s.active.store(1, std::memory_order_relaxed);
     std::atomic_signal_fence(std::memory_order_seq_cst);
-    if (!pause_.load(std::memory_order_acquire)) [[likely]] return;
+    if (pause_.load(std::memory_order_acquire) == 0) [[likely]] return;
   } else {
     // Symmetric fallback: the seq_cst store/load pair carries the same
     // guarantee without kernel help.
     s.active.store(1, std::memory_order_seq_cst);
-    if (!pause_.load(std::memory_order_seq_cst)) [[likely]] return;
+    if (pause_.load(std::memory_order_seq_cst) == 0) [[likely]] return;
   }
   safepoint_enter_contended(s);
 }
@@ -422,9 +384,14 @@ inline void GuardedSink::safepoint_enter(Slot& s) noexcept {
 void GuardedSink::safepoint_enter_contended(Slot& s) noexcept {
   for (;;) {
     s.active.store(0, std::memory_order_seq_cst);
-    while (pause_.load(std::memory_order_acquire)) std::this_thread::yield();
+    for (std::uint32_t p; (p = pause_.load(std::memory_order_acquire)) != 0;) {
+      // A crossed budget (coarse mode only) parks every appender until one
+      // of them wins the maintenance lock and runs the check.
+      if ((p & kBudgetCrossed) != 0) coarse_tick();
+      std::this_thread::yield();
+    }
     s.active.store(1, std::memory_order_seq_cst);
-    if (!pause_.load(std::memory_order_seq_cst)) return;
+    if (pause_.load(std::memory_order_seq_cst) == 0) return;
   }
 }
 
@@ -435,7 +402,7 @@ inline void GuardedSink::safepoint_leave(Slot& s) noexcept {
 
 void GuardedSink::stop_the_world() noexcept {
   telemetry::Tracer::begin("world_stopped", telemetry::SpanCat::kQuiesce);
-  pause_.store(true, std::memory_order_seq_cst);
+  pause_.fetch_or(kWorldStopped, std::memory_order_seq_cst);
   if (asym_) membarrier_sync();
   for (Slot& s : slots_) {
     while (s.active.load(std::memory_order_acquire) != 0) {
@@ -445,7 +412,7 @@ void GuardedSink::stop_the_world() noexcept {
 }
 
 void GuardedSink::resume_the_world() noexcept {
-  pause_.store(false, std::memory_order_release);
+  pause_.fetch_and(~kWorldStopped, std::memory_order_release);
   telemetry::Tracer::end(telemetry::SpanCat::kQuiesce);
 }
 

@@ -23,10 +23,12 @@
 // set — a shared atomic counter assigns a global index per event. Otherwise
 // (the common mem-budget-only "idle guard") there is no per-event counting
 // at all: the guard watches the budget from the MemoryTracker's allocation
-// observer (memory only grows through tracked allocations), and its pending
-// flag doubles as the safepoint pause flag — the world only ever stops
-// while it is raised — so the access path pays exactly one acquire load
-// (budget poll and Dekker check combined) plus the two slot stores.
+// observer (memory only grows through tracked allocations) and raises a
+// budget bit in the safepoint's pause word. Every gated path, in either
+// mode, reads that one word: a world stop (maintenance, flush) sets its own
+// bit, so neither clears the other, and the access path pays exactly one
+// acquire load (budget poll and Dekker check combined) plus the two slot
+// stores.
 #pragma once
 
 #include <atomic>
@@ -111,19 +113,16 @@ class GuardedSink final : public instrument::AccessSink {
     std::atomic<std::uint32_t> active{0};
   };
 
+  /// Bits of pause_, the one word every gated path checks on entry.
+  static constexpr std::uint32_t kWorldStopped = 1;   ///< stop_the_world()
+  static constexpr std::uint32_t kBudgetCrossed = 2;  ///< guard's sensor
+
   /// Precise-mode event prologue: assigns the global index, runs injector
   /// faults, and performs guard/checkpoint maintenance when due.
   std::uint64_t begin_event();
-  /// Coarse-mode response to the guard's pending flag: stop the world and
-  /// run the guard check, indexed by the profiler's own access count.
+  /// Coarse-mode response to the budget bit: stop the world and run the
+  /// guard check, indexed by the profiler's own access count.
   void coarse_tick();
-  /// Coarse-mode backout: leave the slot, run/await the pending check.
-  /// Kept out of line (cold) so the fast path stays frame-light — inlining
-  /// the world-stop machinery would spill arguments on every access.
-#if defined(__GNUC__)
-  [[gnu::noinline, gnu::cold]]
-#endif
-  void coarse_backout(Slot& s) noexcept;
   void maintenance(std::uint64_t index);
   void write_checkpoint(std::uint64_t index, const std::string& state,
                         const std::string& reason);
@@ -136,8 +135,13 @@ class GuardedSink final : public instrument::AccessSink {
 
   // Safepoint protocol (active only when gate_ is set). The common
   // uncontended enter is inlined at the call sites; the backout-and-spin
-  // loop lives out of line so the hot path stays call-free.
+  // loop (which also runs a pending budget check) lives out of line and
+  // cold so the fast path stays frame-light — inlining the world-stop
+  // machinery would spill arguments on every access.
   void safepoint_enter(Slot& s) noexcept;
+#if defined(__GNUC__)
+  [[gnu::noinline, gnu::cold]]
+#endif
   void safepoint_enter_contended(Slot& s) noexcept;
   void safepoint_leave(Slot& s) noexcept;
   void stop_the_world() noexcept;
@@ -154,10 +158,6 @@ class GuardedSink final : public instrument::AccessSink {
   bool asym_;           ///< membarrier available: relaxed-store fast path
   bool observer_installed_ = false;
   std::uint64_t check_mask_;  ///< guard check interval rounded up to pow2 - 1
-  /// Coarse-mode maintenance trigger and pause flag in one; the guard's
-  /// allocation sensor is bound to it (bind_pending) so the access hot path
-  /// reads its own object, not the guard's.
-  std::atomic<bool> coarse_pending_{false};
 
   std::atomic<std::uint64_t> events_{0};
   std::atomic<std::uint64_t> suppressed_{0};
@@ -167,7 +167,10 @@ class GuardedSink final : public instrument::AccessSink {
   bool epoch_io_failed_ = false;
 
   std::mutex maintenance_mu_;
-  std::atomic<bool> pause_{false};
+  /// kWorldStopped | kBudgetCrossed. The guard's allocation sensor is bound
+  /// to the budget bit (bind_pending) in coarse mode, so the access hot path
+  /// reads its own object, not the guard's.
+  std::atomic<std::uint32_t> pause_{0};
   Slot slots_[64];
 };
 

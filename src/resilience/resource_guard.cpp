@@ -81,12 +81,13 @@ void ResourceGuard::check(std::uint64_t index) {
         "structure stays exact)"});
   }
 
-  // Clear the pending flag last, with release: in coarse mode it doubles as
-  // the safepoint pause flag, so this store is what lets profiling threads
-  // back in — and what publishes the ladder's structure mutations to their
-  // acquire on entry. The world is stopped here, so any crossing during the
-  // ladder walk simply re-raises the flag on the next tracked allocation.
-  pending_->store(false, std::memory_order_release);
+  // Clear the pending bit last, with release: in coarse mode it lives in the
+  // safepoint pause word, so this store is what lets profiling threads back
+  // in once the world resumes — and what publishes the ladder's structure
+  // mutations to their acquire on entry. The world is stopped here, so any
+  // crossing during the ladder walk simply re-raises the bit on the next
+  // tracked allocation.
+  pending_->fetch_and(~pending_bit_, std::memory_order_release);
 }
 
 }  // namespace commscope::resilience

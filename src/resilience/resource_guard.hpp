@@ -49,31 +49,36 @@ class ResourceGuard : public support::AllocObserver {
         sampler_(sampler) {}
 
   /// Allocation-path sensor: installed by GuardedSink (coarse mode) on the
-  /// profiler's MemoryTracker, it raises the pending flag the moment a
+  /// profiler's MemoryTracker, it raises the pending bit the moment a
   /// tracked allocation crosses the memory budget. Memory only grows through
-  /// tracked allocations, so the flag (which doubles as the coarse-mode
-  /// safepoint pause flag; check() clears it with release when done) is all
+  /// tracked allocations, so the bit (which lives in the coarse-mode
+  /// safepoint pause word; check() clears it with release when done) is all
   /// the event hot path ever has to look at.
   void on_tracked_alloc(std::size_t bytes) noexcept override {
     if (watching_.load(std::memory_order_relaxed) &&
         options_.mem_budget_bytes != 0 &&
-        !pending_->load(std::memory_order_relaxed) &&
+        (pending_->load(std::memory_order_relaxed) & pending_bit_) == 0 &&
         profiler_->memory_bytes() + bytes > options_.mem_budget_bytes) {
-      pending_->store(true, std::memory_order_relaxed);
+      pending_->fetch_or(pending_bit_, std::memory_order_relaxed);
     }
   }
 
-  /// Redirects the pending flag to sink-owned storage so the access hot path
-  /// reads a member of its own object instead of chasing a pointer into the
-  /// guard. `flag` must outlive the guard's last sensor call.
-  void bind_pending(std::atomic<bool>& flag) noexcept { pending_ = &flag; }
+  /// Redirects the pending bit to `bit` of sink-owned `word` so the access
+  /// hot path reads one flag word of its own object instead of chasing a
+  /// pointer into the guard; the guard never touches the word's other bits.
+  /// `word` must outlive the guard's last sensor call.
+  void bind_pending(std::atomic<std::uint32_t>& word,
+                    std::uint32_t bit) noexcept {
+    pending_ = &word;
+    pending_bit_ = bit;
+  }
 
-  /// Raises the pending flag if the budget is already blown (covers memory
+  /// Raises the pending bit if the budget is already blown (covers memory
   /// charged before the guard was attached).
   void prime() noexcept {
     if (options_.mem_budget_bytes != 0 &&
         profiler_->memory_bytes() > options_.mem_budget_bytes) {
-      pending_->store(true, std::memory_order_relaxed);
+      pending_->fetch_or(pending_bit_, std::memory_order_relaxed);
     }
   }
 
@@ -131,8 +136,9 @@ class ResourceGuard : public support::AllocObserver {
   core::Profiler* profiler_;
   FaultInjector* injector_;
   instrument::SamplingSink* sampler_;
-  std::atomic<bool> own_pending_{false};
-  std::atomic<bool>* pending_ = &own_pending_;  ///< see bind_pending()
+  std::atomic<std::uint32_t> own_pending_{0};
+  std::atomic<std::uint32_t>* pending_ = &own_pending_;  ///< see bind_pending()
+  std::uint32_t pending_bit_ = 1;
   // watching_/suppress_/downshifts_ are written only from check() (which
   // runs with the world stopped) but *read* concurrently from every thread's
   // allocation or event hot path — relaxed atomics, not plain fields, so the

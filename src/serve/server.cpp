@@ -24,19 +24,6 @@ namespace ctl = telemetry;
 
 namespace {
 
-/// Stage-clock sample for the serve.stage.* latency histograms. Compiles to
-/// a constant when telemetry is off so the staged pipeline costs nothing.
-std::uint64_t mono_us() noexcept {
-#if defined(COMMSCOPE_TELEMETRY_DISABLED)
-  return 0;
-#else
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-#endif
-}
-
 int make_listen_socket(const std::string& path, std::string& error) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -507,7 +494,7 @@ void ServeServer::handle_epochs(Conn& c, const std::string& payload) {
   }
 
   const std::uint64_t span_t0 = ctl::Tracer::now_ns();
-  const std::uint64_t t_start = mono_us();
+  const std::uint64_t t_start = ctl::mono_us();
   core::EpochTimeline src;
   try {
     src = core::read_epochs(std::string_view(payload));
@@ -523,7 +510,7 @@ void ServeServer::handle_epochs(Conn& c, const std::string& payload) {
     drop_session(c, "threads-out-of-range");
     return;
   }
-  const std::uint64_t t_decoded = mono_us();
+  const std::uint64_t t_decoded = ctl::mono_us();
 
   // Staged so every leg of the daemon pipeline (decode -> dedupe -> merge ->
   // journal -> ack; fsync is timed inside the journal as serve.wal.fsync_us)
@@ -547,7 +534,7 @@ void ServeServer::handle_epochs(Conn& c, const std::string& payload) {
     fresh.push_back(&e);
     ++accepted;
   }
-  const std::uint64_t t_deduped = mono_us();
+  const std::uint64_t t_deduped = ctl::mono_us();
 
   const std::uint64_t merge_t0 = ctl::Tracer::now_ns();
   for (const core::EpochSample* e : fresh) {
@@ -555,7 +542,7 @@ void ServeServer::handle_epochs(Conn& c, const std::string& payload) {
     ++stats_.epochs_merged;
     ++sess.epochs_merged;
   }
-  const std::uint64_t t_merged = mono_us();
+  const std::uint64_t t_merged = ctl::mono_us();
   if (!fresh.empty()) {
     ctl::Tracer::complete("serve.merge", ctl::SpanCat::kServe, -1, merge_t0,
                           ctl::Tracer::now_ns() - merge_t0, sess.ctx,
@@ -575,9 +562,9 @@ void ServeServer::handle_epochs(Conn& c, const std::string& payload) {
                           journal_t0, ctl::Tracer::now_ns() - journal_t0,
                           sess.ctx, fresh.size());
   }
-  const std::uint64_t t_journaled = mono_us();
+  const std::uint64_t t_journaled = ctl::mono_us();
   send_ack(c, accepted);
-  const std::uint64_t t_acked = mono_us();
+  const std::uint64_t t_acked = ctl::mono_us();
 
   ctl::histogram("serve.stage.decode_us").record(t_decoded - t_start);
   ctl::histogram("serve.stage.dedupe_us").record(t_deduped - t_decoded);

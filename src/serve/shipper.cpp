@@ -29,20 +29,6 @@ namespace ctl = telemetry;
 
 namespace {
 
-/// Monotonic microseconds for stage latency histograms. Compiled to a
-/// constant in a -DCOMMSCOPE_TELEMETRY=OFF build so the no-op histogram
-/// record does not still pay for two clock reads.
-std::uint64_t mono_us() noexcept {
-#if defined(COMMSCOPE_TELEMETRY_DISABLED)
-  return 0;
-#else
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-#endif
-}
-
 /// Blocking connect with a deadline: nonblocking connect + poll(POLLOUT),
 /// then back to blocking mode (sends are simpler and the daemon drains).
 int connect_unix(const std::string& path, std::uint32_t timeout_ms) {
@@ -140,7 +126,7 @@ void EpochShipper::offer(const core::EpochTimeline& t) {
     ++stats_.offered;
   }
   // Stamp the oldest pending offer: offer->ack end-to-end latency anchor.
-  if (was_empty && !pending_.epochs.empty()) first_offer_us_ = mono_us();
+  if (was_empty && !pending_.epochs.empty()) first_offer_us_ = ctl::mono_us();
 }
 
 void EpochShipper::load_spill() {
@@ -178,7 +164,7 @@ void EpochShipper::write_spill() {
 
 bool EpochShipper::ensure_connected() {
   if (fd_ >= 0) return true;
-  const std::uint64_t t0 = mono_us();
+  const std::uint64_t t0 = ctl::mono_us();
   fd_ = connect_unix(options_.socket_path, options_.connect_timeout_ms);
   if (fd_ < 0) return false;
   // The ctx/tns trailer propagates this run's trace context; `tns` samples
@@ -194,7 +180,7 @@ bool EpochShipper::ensure_connected() {
     disconnect();
     return false;
   }
-  ctl::histogram("ship.stage.connect_us").record(mono_us() - t0);
+  ctl::histogram("ship.stage.connect_us").record(ctl::mono_us() - t0);
   ++stats_.connects;
   ctl::counter("ship.connects").add(1);
   return true;
@@ -244,11 +230,11 @@ bool EpochShipper::send_pending() {
     // trip), plus one ctx-stamped span covering the frame's whole flight so
     // the merged cross-process trace shows the client side of every ack.
     const std::uint64_t span_t0 = ctl::Tracer::now_ns();
-    const std::uint64_t t0 = mono_us();
+    const std::uint64_t t0 = ctl::mono_us();
     if (!send_frame(encode_frame(FrameType::kEpochs, doc))) return false;
-    const std::uint64_t t1 = mono_us();
+    const std::uint64_t t1 = ctl::mono_us();
     if (!wait_ack()) return false;
-    const std::uint64_t t2 = mono_us();
+    const std::uint64_t t2 = ctl::mono_us();
     ctl::histogram("ship.stage.send_us").record(t1 - t0);
     ctl::histogram("ship.stage.ack_us").record(t2 - t1);
     ctl::Tracer::complete("ship.frame", ctl::SpanCat::kServe, -1, span_t0,
@@ -354,7 +340,7 @@ bool EpochShipper::flush() {
       if (first_offer_us_ != 0) {
         // Offer-to-ack latency for the oldest epoch in this batch — the
         // client half of the end-to-end ship pipeline.
-        ctl::histogram("ship.stage.e2e_us").record(mono_us() -
+        ctl::histogram("ship.stage.e2e_us").record(ctl::mono_us() -
                                                    first_offer_us_);
         first_offer_us_ = 0;
       }

@@ -201,7 +201,12 @@ class ReadSignature {
   std::size_t stripe_mask_;
   unsigned stripe_shift_;
   std::vector<std::unique_ptr<std::atomic<support::BloomFilter*>[]>> level1_;
-  std::atomic<std::size_t> allocated_{0};
+  // Written by every thread on slow paths (a slot's first filter, a bad
+  // tid), while the fields above are read by every insert and contains: a
+  // line of their own keeps a filter allocation from invalidating
+  // max_threads_ or the masks in every other thread's cache. It also
+  // line-aligns the signature wherever it is embedded (Profiler::backend_).
+  alignas(64) std::atomic<std::size_t> allocated_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> overflow_inserts_{0};
   support::MemoryTracker* tracker_;

@@ -1,6 +1,7 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -58,8 +59,6 @@ void refresh_quantiles(MetricSnapshot& m) noexcept {
   m.p95 = histogram_quantile(m, 0.95);
   m.p99 = histogram_quantile(m, 0.99);
 }
-
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
 
 namespace {
 
@@ -172,6 +171,13 @@ Histogram& histogram(const char* name) noexcept {
   return find_or_register(name, MetricKind::kHistogram).histogram;
 }
 
+std::uint64_t mono_us() noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 std::vector<MetricSnapshot> snapshot_all() {
   std::vector<MetricSnapshot> out;
   RegistryState& s = reg();
@@ -216,24 +222,7 @@ void reset_all() noexcept {
   }
 }
 
-#else  // COMMSCOPE_TELEMETRY_DISABLED
-
-namespace {
-// Every name maps to the same inert instances; add/set/record are no-ops.
-Counter g_counter;
-Gauge g_gauge;
-Histogram g_histogram;
-}  // namespace
-
-Counter& counter(const char*) noexcept { return g_counter; }
-Gauge& gauge(const char*) noexcept { return g_gauge; }
-Histogram& histogram(const char*) noexcept { return g_histogram; }
-std::vector<MetricSnapshot> snapshot_all() { return {}; }
-void reset_all() noexcept {}
-
-#endif  // COMMSCOPE_TELEMETRY_DISABLED
-
-// --- text format v1 (independent of the live registry gate) -----------------
+// --- text format v1 ----------------------------------------------------------
 
 namespace {
 constexpr const char* kHeader = "# commscope-metrics v1";

@@ -19,8 +19,6 @@
 //   * All storage is static and trivially destructible, so metrics can be
 //     touched from thread_local destructors and atexit hooks at any point of
 //     process teardown (same contract as threading::ThreadRegistry).
-//   * With CMake -DCOMMSCOPE_TELEMETRY=OFF the entire API compiles to
-//     no-ops; callers never #ifdef.
 //
 // Aggregated snapshots serialize to a line-oriented text format (v1) that
 // `commscope metrics` can read back, merge across runs (counters and
@@ -88,8 +86,6 @@ struct MetricSnapshot {
 
 /// Refreshes m.p50/p95/p99 from m.buckets (no-op for non-histograms).
 void refresh_quantiles(MetricSnapshot& m) noexcept;
-
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
 
 /// Monotonic event counter, sharded across cache-line-padded slots so
 /// concurrent adds from different threads do not bounce one line. Saturates
@@ -182,35 +178,6 @@ class Histogram {
   std::atomic<std::uint64_t> sum_{0};
 };
 
-#else  // COMMSCOPE_TELEMETRY_DISABLED: the whole API inlines to nothing.
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) noexcept {}
-  [[nodiscard]] std::uint64_t value() const noexcept { return 0; }
-  [[nodiscard]] bool saturated() const noexcept { return false; }
-  void reset() noexcept {}
-};
-
-class Gauge {
- public:
-  void set(std::uint64_t) noexcept {}
-  void set_max(std::uint64_t) noexcept {}
-  [[nodiscard]] std::uint64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-class Histogram {
- public:
-  void record(std::uint64_t) noexcept {}
-  [[nodiscard]] std::uint64_t count() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t sum() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t bucket(int) const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-#endif  // COMMSCOPE_TELEMETRY_DISABLED
-
 /// Looks up (registering on first use) the metric named `name`. Names must
 /// be NUL-terminated, at most 63 bytes, and should be static strings; the
 /// registry copies them into fixed storage. The same (name, kind) pair
@@ -221,8 +188,10 @@ class Histogram {
 [[nodiscard]] Gauge& gauge(const char* name) noexcept;
 [[nodiscard]] Histogram& histogram(const char* name) noexcept;
 
+/// Monotonic microseconds: the clock the `*_us` latency histograms sample.
+[[nodiscard]] std::uint64_t mono_us() noexcept;
+
 /// Aggregated snapshot of every registered metric, in registration order.
-/// Empty in a -DCOMMSCOPE_TELEMETRY=OFF build.
 [[nodiscard]] std::vector<MetricSnapshot> snapshot_all();
 
 /// Zeroes every registered metric (test isolation; concurrent updates may

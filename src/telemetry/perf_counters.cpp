@@ -27,8 +27,6 @@ const char* to_string(HitmSource s) noexcept {
   return "?";
 }
 
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
-
 namespace {
 
 /// Event slots in PerfDelta field order. kSlotCount is small and fixed; the
@@ -330,7 +328,5 @@ PerfDelta PerfCounters::window_delta() noexcept {
   window_last_ = now;
   return delta;
 }
-
-#endif  // !COMMSCOPE_TELEMETRY_DISABLED
 
 }  // namespace commscope::telemetry

@@ -21,9 +21,7 @@
 //     time_enabled/time_running (the standard estimator) and flagged
 //     `multiplexed`, with a `perf.multiplexed` provenance counter, so a
 //     scaled number is never mistaken for a measured one.
-//   * The engine charges its slot table to MemoryTracker (Figure 5 honesty)
-//     and compiles to one-branch no-ops under -DCOMMSCOPE_TELEMETRY=OFF —
-//     only the PerfDelta data model (needed by epoch_io) remains.
+//   * The engine charges its slot table to MemoryTracker (Figure 5 honesty).
 //   * Fault injection: the `perf-open-fail:N` COMMSCOPE_FAULT point makes
 //     perf_event_open calls from the Nth onward fail (N=1 simulates a host
 //     with no PMU at all), proving the degradation path in CI without
@@ -116,8 +114,6 @@ struct PerfCountersOptions {
   std::uint32_t open_fail_from = 0;
 };
 
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
-
 /// Per-thread perf_event_open counter-group engine.
 ///
 /// Each profiling thread calls attach_current_thread(tid) once (from its own
@@ -189,24 +185,5 @@ class PerfCounters {
   std::mutex window_mu_;
   PerfDelta window_last_;  ///< cumulative totals at the previous boundary
 };
-
-#else  // COMMSCOPE_TELEMETRY_DISABLED: the engine compiles away; only the
-       // PerfDelta data model (and epoch IO of it) remains.
-
-class PerfCounters {
- public:
-  explicit PerfCounters(PerfCountersOptions,
-                        support::MemoryTracker* = nullptr) noexcept {}
-  [[nodiscard]] bool available() const noexcept { return false; }
-  [[nodiscard]] HitmSource hitm_source() const noexcept {
-    return HitmSource::kNone;
-  }
-  void attach_current_thread(int) noexcept {}
-  [[nodiscard]] PerfDelta read_thread(int) noexcept { return {}; }
-  [[nodiscard]] PerfDelta total() noexcept { return {}; }
-  [[nodiscard]] PerfDelta window_delta() noexcept { return {}; }
-};
-
-#endif  // COMMSCOPE_TELEMETRY_DISABLED
 
 }  // namespace commscope::telemetry

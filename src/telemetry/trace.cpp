@@ -26,8 +26,6 @@ const char* to_string(SpanCat cat) noexcept {
   return "?";
 }
 
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
-
 namespace detail {
 std::atomic<bool> g_trace_enabled{false};
 }  // namespace detail
@@ -332,18 +330,5 @@ void Tracer::write_text(std::ostream& os, const LoopResolver& resolve) {
     os << "\n";
   }
 }
-
-#else  // COMMSCOPE_TELEMETRY_DISABLED
-
-void Tracer::write_chrome_trace(std::ostream& os, const LoopResolver&) {
-  os << "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\",\"otherData\":"
-        "{\"tool\":\"commscope\",\"telemetry\":\"disabled at build\"}}\n";
-}
-
-void Tracer::write_text(std::ostream& os, const LoopResolver&) {
-  os << "# commscope-trace v1 (telemetry disabled at build)\n";
-}
-
-#endif  // COMMSCOPE_TELEMETRY_DISABLED
 
 }  // namespace commscope::telemetry

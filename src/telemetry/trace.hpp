@@ -46,8 +46,6 @@ enum class SpanCat : std::uint8_t {
 
 [[nodiscard]] const char* to_string(SpanCat cat) noexcept;
 
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
-
 namespace detail {
 extern std::atomic<bool> g_trace_enabled;
 }  // namespace detail
@@ -156,39 +154,5 @@ class ScopedSpan {
   const char* name_;
   std::uint64_t t0_;
 };
-
-#else  // COMMSCOPE_TELEMETRY_DISABLED
-
-class Tracer {
- public:
-  static void enable() {}
-  static void disable() noexcept {}
-  [[nodiscard]] static bool enabled() noexcept { return false; }
-  [[nodiscard]] static std::uint64_t now_ns() noexcept { return 0; }
-  static void begin(const char*, SpanCat, int = -1) noexcept {}
-  static void end(SpanCat, int = -1) noexcept {}
-  static void instant(const char*, SpanCat, int = -1, std::uint64_t = 0,
-                      std::uint64_t = 0) noexcept {}
-  static void complete(const char*, SpanCat, int, std::uint64_t,
-                       std::uint64_t, std::uint64_t = 0,
-                       std::uint64_t = 0) noexcept {}
-  static void loop_begin(int, std::uint32_t) noexcept {}
-  static void loop_end(int) noexcept {}
-  [[nodiscard]] static std::uint64_t captured() noexcept { return 0; }
-  [[nodiscard]] static std::uint64_t dropped() noexcept { return 0; }
-  using LoopResolver = std::function<std::string(std::uint32_t)>;
-  static void write_chrome_trace(std::ostream& os,
-                                 const LoopResolver& = {});
-  static void write_text(std::ostream& os, const LoopResolver& = {});
-};
-
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char*, SpanCat, int = -1) noexcept {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-};
-
-#endif  // COMMSCOPE_TELEMETRY_DISABLED
 
 }  // namespace commscope::telemetry

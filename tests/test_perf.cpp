@@ -211,8 +211,6 @@ TEST(PerfServe, AggregateRestoresCounterlessSnapshots) {
 
 // --- engine degradation ------------------------------------------------------
 
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
-
 TEST(PerfEngine, InjectedOpenFailureDegradesCleanly) {
   const std::uint64_t unavailable_before =
       ctl::counter("perf.unavailable").value();
@@ -370,7 +368,5 @@ TEST(PerfDifferential, DegradedEngineMatchesDisabledEngine) {
     EXPECT_FALSE(e.perf.any());  // degraded engine never fabricates deltas
   }
 }
-
-#endif  // !COMMSCOPE_TELEMETRY_DISABLED
 
 }  // namespace

@@ -1,8 +1,6 @@
 // Flight-recorder unit suite: seal triggers, the bounded overwrite-and-count
 // ring, sparse-delta fidelity, epoch-file IO under hostile input, the
 // run-to-run diff math behind `commscope diff`, and the report renderers.
-// Everything here runs in the notelemetry build too: the recorder does not
-// depend on the telemetry layer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -323,20 +321,6 @@ TEST(FlightRecorder, AccessTriggerSealsEveryN) {
   EXPECT_EQ(t.epochs[3].last_access, 35u);
   EXPECT_EQ(t.epochs[3].reason, cc::EpochSeal::kFinalize);
   EXPECT_EQ(t.total().at(0, 1), 35u * 8u);
-}
-
-TEST(FlightRecorder, BatchTriggerSeals) {
-  cc::FlightRecorderOptions o;
-  o.threads = 2;
-  o.every_batches = 2;
-  cc::FlightRecorder r(o);
-  ASSERT_TRUE(r.enabled());
-  r.add(0, 1, 4, ci::kNoLoop);
-  for (int i = 0; i < 5; ++i) r.count_batch();
-  EXPECT_EQ(r.epochs_sealed(), 2u);
-  const cc::EpochTimeline t = r.timeline();
-  ASSERT_FALSE(t.epochs.empty());
-  EXPECT_EQ(t.epochs[0].reason, cc::EpochSeal::kBatches);
 }
 
 TEST(FlightRecorder, RingOverwritesOldestAndCounts) {

@@ -437,13 +437,9 @@ TEST(Serve, ScrapeEndpointServesParseableMetrics) {
   std::ostringstream text;
   ASSERT_TRUE(sv::scrape_metrics(socket, text));
   EXPECT_NE(text.str().find("# commscope-metrics v1"), std::string::npos);
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
-  // With telemetry compiled out the daemon still answers scrapes, but the
-  // snapshot carries only the header.
   EXPECT_NE(text.str().find("serve.epochs.merged"), std::string::npos);
   std::istringstream in(text.str());
   EXPECT_FALSE(ctl::read_metrics(in).empty());
-#endif
 }
 
 // --- spill + replay ---------------------------------------------------------
@@ -613,7 +609,6 @@ TEST(ServeSoak, EightClientsThroughInjectedFaultsMergeBitIdentical) {
     EXPECT_EQ(ss.acks_with_ctx, ss.acks) << "client " << i;
   }
 
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
   // And the trace tells the same story: every ctx appears on BOTH a
   // client-side ship.frame span and a daemon-side serve.merge span.
   ctl::Tracer::disable();
@@ -650,7 +645,6 @@ TEST(ServeSoak, EightClientsThroughInjectedFaultsMergeBitIdentical) {
   // one move.
   std::ofstream trace_json("serve_soak.trace.json");
   ctl::Tracer::write_chrome_trace(trace_json);
-#endif  // COMMSCOPE_TELEMETRY_DISABLED
   std::ofstream artifact("serve_soak.metrics");
   ASSERT_TRUE(sv::scrape_metrics(socket, artifact));
   std::ofstream prom("serve_soak.prom");
@@ -746,7 +740,6 @@ TEST(ServeDurable, PropagatedContextStitchesClientAndDaemonSpans) {
   h.stop();
   ctl::Tracer::disable();
 
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
   // One trace, two processes' worth of spans: for each client ctx, the
   // client-side frame span and the daemon-side frame/merge/journal spans
   // all carry the same propagated context id.
@@ -772,7 +765,6 @@ TEST(ServeDurable, PropagatedContextStitchesClientAndDaemonSpans) {
       EXPECT_TRUE(found) << span << " span missing for ctx " << hex;
     }
   }
-#endif  // COMMSCOPE_TELEMETRY_DISABLED
 }
 
 TEST(ServeDurable, TornWalTailToleratedAndQuarantined) {

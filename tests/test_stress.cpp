@@ -238,6 +238,46 @@ TEST(FlushOrdering, RegistryFlushHooksDrainActiveSink) {
   EXPECT_EQ(prof.stats().accesses, 1u);
 }
 
+// Coarse mode (a memory budget alone: no checkpoint, injector or event
+// budget) keeps no event index, yet flush() — what the registry's atexit and
+// fork hooks run — must still park its appenders before draining their
+// micro-batches. A lane left running would append to the batch flush_all()
+// is draining, and the drain would lose or double-count accesses.
+TEST(FlushOrdering, CoarseModeFlushParksAppenders) {
+  constexpr int kLanes = 4;
+  constexpr int kPerLane = 200000;
+  cc::Profiler prof(batched_profiler_options());
+  cr::GuardOptions go;
+  go.mem_budget_bytes = 1ULL << 30;  // never crossed: no guard check runs
+  cr::ResourceGuard guard(go, prof);
+  cr::GuardedSink sink(prof, &guard, {});
+  std::atomic<int> running{kLanes};
+  std::vector<std::thread> lanes;
+  for (int t = 0; t < kLanes; ++t) {
+    lanes.emplace_back([&, t] {
+      sink.on_thread_begin(t);
+      for (int i = 0; i < kPerLane; ++i) {
+        sink.on_access(t, 0x100000u + 8u * static_cast<unsigned>(i % 4096), 8,
+                       i % 2 == 0 ? ci::AccessKind::kWrite
+                                  : ci::AccessKind::kRead);
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  // Paced, so parked lanes still make progress under TSan.
+  std::uint64_t flushes = 0;
+  while (running.load(std::memory_order_acquire) != 0) {
+    sink.flush();
+    ++flushes;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  for (std::thread& l : lanes) l.join();
+  sink.finalize();
+  EXPECT_GT(flushes, 0u);
+  EXPECT_EQ(prof.stats().accesses,
+            static_cast<std::uint64_t>(kLanes) * kPerLane);
+}
+
 namespace {
 
 /// The overwrite-and-count contract of one recorder partition: sealed ==
@@ -361,8 +401,6 @@ TEST(FlushOrdering, EpochRingInvariantsHoldUnderThreadChurn) {
   }
 }
 
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
-
 // Every trace record since enable() either occupies a ring slot, overwrote
 // one (counted in dropped), or spilled past the ring table (also counted).
 // Thread churn is the hostile case: each fresh OS thread claims a fresh
@@ -470,8 +508,6 @@ TEST(TraceRing, ServeSessionReapUnderChurnKeepsDaemonConsistent) {
       << "churn spun for the whole reap window yet never wrapped a ring";
   std::remove(so.spill_path.c_str());
 }
-
-#endif  // !COMMSCOPE_TELEMETRY_DISABLED
 
 TEST(FlushOrdering, ThreadExitDrainsOwnMicroBatch) {
   cc::Profiler prof(batched_profiler_options());

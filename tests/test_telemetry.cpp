@@ -2,9 +2,6 @@
 // saturation, histogram bucket boundaries, metrics text round-trip + merge,
 // trace JSON round-trip (validated with a minimal in-test JSON parser), and
 // the disabled path's zero-allocation guarantee.
-//
-// The file compiles in both configurations: with -DCOMMSCOPE_TELEMETRY=OFF
-// the value assertions flip to "everything inlines to zero".
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -51,8 +48,6 @@ void operator delete(void* p, const std::nothrow_t&) noexcept {
 }
 
 namespace {
-
-#if !defined(COMMSCOPE_TELEMETRY_DISABLED)
 
 TEST(Counter, AggregatesExactlyAcrossThreadChurn) {
   ctl::Counter& c = ctl::counter("test.churn");
@@ -793,40 +788,5 @@ TEST(Registry, OverflowSpillsToSharedSinkAndCounts) {
   // Spilled names share one sink; the process did not crash and every
   // reference stayed usable — that is the whole contract.
 }
-
-#else  // COMMSCOPE_TELEMETRY_DISABLED
-
-TEST(DisabledBuild, ApiInlinesToNoOps) {
-  ctl::Counter& c = ctl::counter("off.counter");
-  c.add(41);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_FALSE(c.saturated());
-  ctl::gauge("off.gauge").set_max(9);
-  EXPECT_EQ(ctl::gauge("off.gauge").value(), 0u);
-  ctl::histogram("off.hist").record(3);
-  EXPECT_EQ(ctl::histogram("off.hist").count(), 0u);
-  EXPECT_TRUE(ctl::snapshot_all().empty());
-
-  ctl::Tracer::enable();
-  EXPECT_FALSE(ctl::Tracer::enabled());
-  ctl::Tracer::loop_begin(0, 1);
-  EXPECT_EQ(ctl::Tracer::captured(), 0u);
-  std::stringstream ss;
-  ctl::Tracer::write_chrome_trace(ss);
-  EXPECT_NE(ss.str().find("\"traceEvents\":[]"), std::string::npos);
-}
-
-TEST(DisabledBuild, ApiAllocatesNothing) {
-  ctl::Counter& c = ctl::counter("off.noalloc");
-  const std::uint64_t before = tl_allocs;
-  for (int i = 0; i < 1000; ++i) {
-    c.add(1);
-    ctl::Tracer::begin("x", ctl::SpanCat::kRun);
-    ctl::ScopedSpan span("y", ctl::SpanCat::kFlush);
-  }
-  EXPECT_EQ(tl_allocs, before);
-}
-
-#endif  // COMMSCOPE_TELEMETRY_DISABLED
 
 }  // namespace

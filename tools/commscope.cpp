@@ -63,7 +63,6 @@
 //
 // Flight-recorder options (run/replay/top):
 //   --epoch-every=N             seal an epoch every N access events
-//   --epoch-batches=K           seal every K drained micro-batches
 //   --epoch-ms=T                seal every T milliseconds
 //   --epoch-ring=N              epoch ring capacity (default 512)
 //   --epochs-out=FILE           write the surviving timeline on exit
@@ -176,8 +175,8 @@ namespace {
 // default.
 const std::vector<std::string> kProfileFlags = {
     "backend", "threads", "scale",       "slots",      "fp-rate",    "classify",
-    "sparse",  "phases",  "batch",       "epoch-every", "epoch-batches",
-    "epoch-ms", "epoch-ring", "epochs-out", "perf"};
+    "sparse",  "phases",  "batch",       "epoch-every", "epoch-ms",
+    "epoch-ring", "epochs-out", "perf"};
 const std::vector<std::string> kOutputFlags = {
     "heatmaps", "csv", "save-matrix", "pattern", "dvfs"};
 const std::vector<std::string> kResilienceFlags = {
@@ -280,7 +279,7 @@ int usage() {
          "\n"
          "common run/replay/top flags: --threads=N --scale=dev|small|large\n"
          "  --backend=signature|exact --batch=N --phases=BYTES\n"
-         "  --epoch-every=N --epoch-batches=K --epoch-ms=T --epoch-ring=N\n"
+         "  --epoch-every=N --epoch-ms=T --epoch-ring=N\n"
          "  --epochs-out=FILE --quiet --metrics-out=FILE --trace-out=FILE\n"
          "  --perf (per-thread hardware counters: cycles/instructions/\n"
          "  LLC-misses/HITM attributed to loops and epochs; degrades to n/a\n"
@@ -369,8 +368,6 @@ cc::ProfilerOptions profiler_options(const cs::ArgParser& args, int threads) {
   o.batch_size = static_cast<std::uint32_t>(args.get_int_strict("batch", 0));
   o.epoch_accesses =
       static_cast<std::uint64_t>(args.get_int_strict("epoch-every", 0));
-  o.epoch_batches =
-      static_cast<std::uint32_t>(args.get_int_strict("epoch-batches", 0));
   o.epoch_millis =
       static_cast<std::uint32_t>(args.get_int_strict("epoch-ms", 0));
   o.epoch_ring =
