@@ -24,6 +24,10 @@
 // stay byte-compatible with pre-counter readers; the reader accepts both
 // versions.
 //
+// The per-epoch block (the "epoch ..." line plus its cell and loop-share
+// lines) is exported on its own: the serve daemon's snapshot embeds the
+// merged ring as the same blocks, under its own perf-block rule.
+//
 // The reader treats input as hostile (the loader contract shared by
 // matrix_io / trace / checkpoint): every declared count is capped before
 // allocation, every number parsed with checked conversion, and any deviation
@@ -31,11 +35,28 @@
 #pragma once
 
 #include <iosfwd>
+#include <string>
 #include <string_view>
 
 #include "core/flight_recorder.hpp"
+#include "support/textio.hpp"
 
 namespace commscope::core {
+
+/// Which epoch blocks carry the " perf ..." counter block.
+enum class PerfBlock : std::uint8_t {
+  kNone,      ///< no block (epoch files, version 1)
+  kEvery,     ///< every block (epoch files, version 2)
+  kOptional,  ///< exactly the epochs with a counter (serve snapshot)
+};
+
+/// Appends one epoch block to `out` under rule `perf`.
+void write_epoch_block(std::string& out, const EpochSample& e, PerfBlock perf);
+
+/// Parses one epoch block of a `threads`-wide matrix under rule `perf`,
+/// with the hostile-input caps of read_epochs.
+[[nodiscard]] EpochSample read_epoch_block(support::TokenScanner& sc,
+                                           int threads, PerfBlock perf);
 
 /// Writes `t` in the versioned text format (CRC trailer included).
 void write_epochs(std::ostream& os, const EpochTimeline& t);

@@ -345,7 +345,10 @@ void GuardedSink::on_drain(int tid) {
 
 void GuardedSink::finalize() {
   if (!precise_) {
-    // No per-event counting happened; stamp the closest equivalent.
+    // No per-event counting happened; stamp the closest equivalent. The
+    // profiler counts an access when its micro-batch drains, so drain the
+    // last batches first.
+    profiler_->flush_all();
     events_.store(profiler_->stats().accesses, std::memory_order_relaxed);
   }
   // Gauges describe this sink's run; the per-instance atomics above stay the

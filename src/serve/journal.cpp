@@ -22,12 +22,7 @@ namespace ctl = telemetry;
 
 namespace {
 
-constexpr const char* kSnapshotMagic = "commscope-serve-snapshot";
-constexpr int kSnapshotVersion = 1;
-constexpr std::uint64_t kMaxSessions = 1u << 16;
-/// Per-session dedupe-ledger ceiling. Far above anything the bounded ring
-/// can retain, but finite: a lying snapshot cannot allocate without bound.
-constexpr std::uint64_t kMaxSeen = 1u << 24;
+/// Snapshot-file slurp ceiling, like kMaxWalBytes for the log.
 constexpr std::size_t kMaxSnapshotBytes = 512u << 20;
 /// An fsync slower than this, three times in a row, walks the durability
 /// ladder down one rung (sustained latency pressure, not a lone hiccup).
@@ -200,97 +195,6 @@ std::optional<WalRecord> WalReader::next() {
   r.type = static_cast<WalRecordType>(h[4]);
   r.payload.assign(payload);
   return r;
-}
-
-// --- snapshot ----------------------------------------------------------------
-
-std::string serialize_serve_state(
-    const std::map<std::uint64_t, Session>& sessions, const Aggregate& agg,
-    std::uint64_t last_lsn) {
-  std::string out;
-  out += kSnapshotMagic;
-  out += ' ';
-  out += std::to_string(kSnapshotVersion);
-  out += '\n';
-  out += "lsn " + std::to_string(last_lsn) + '\n';
-  out += "sessions " + std::to_string(sessions.size()) + '\n';
-  for (const auto& [id, s] : sessions) {
-    out += "session " + std::to_string(id) + " threads " +
-           std::to_string(s.threads) + " state " + to_string(s.state) +
-           " merged " + std::to_string(s.epochs_merged) + " deduped " +
-           std::to_string(s.epochs_deduped) + " seen " +
-           std::to_string(s.seen.size()) + " reason ";
-    // The drop reason is free text but single-line by construction; squash
-    // newlines defensively like epoch_io does for labels.
-    std::string clean = s.drop_reason.substr(0, 256);
-    for (char& ch : clean) {
-      if (ch == '\n' || ch == '\r') ch = ' ';
-    }
-    out += clean;
-    out += '\n';
-    int col = 0;
-    for (const std::uint64_t idx : s.seen) {
-      out += std::to_string(idx);
-      out.push_back(++col % 16 == 0 ? '\n' : ' ');
-    }
-    if (col % 16 != 0) out += '\n';
-  }
-  agg.serialize(out);
-  return support::with_crc_trailer(std::move(out));
-}
-
-void restore_serve_state(std::string_view text,
-                         std::map<std::uint64_t, Session>& sessions,
-                         Aggregate& agg, std::uint64_t& last_lsn,
-                         support::MemoryTracker* tracker) {
-  if (text.size() > kMaxSnapshotBytes) {
-    throw std::runtime_error("serve-snapshot: file too large");
-  }
-  const std::string_view payload =
-      support::verify_crc_trailer(text, /*require=*/true, "serve-snapshot");
-  support::TokenScanner sc(payload, "serve-snapshot");
-  if (sc.next_token() != kSnapshotMagic) sc.fail("bad magic");
-  const int version = sc.next_uint<int>("version");
-  if (version != kSnapshotVersion) {
-    sc.fail("unsupported version " + std::to_string(version));
-  }
-  if (sc.next_token() != "lsn") sc.fail("expected 'lsn'");
-  last_lsn = sc.next_uint<std::uint64_t>("lsn");
-  if (sc.next_token() != "sessions") sc.fail("expected 'sessions'");
-  const std::uint64_t count =
-      sc.next_uint_capped<std::uint64_t>("session count", kMaxSessions);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (sc.next_token() != "session") sc.fail("expected 'session'");
-    Session s;
-    s.id = sc.next_uint<std::uint64_t>("session id");
-    if (s.id == 0) sc.fail("session id must be nonzero");
-    if (sc.next_token() != "threads") sc.fail("expected 'threads'");
-    s.threads = sc.next_uint_capped<int>("session threads", 4096);
-    if (s.threads < 1) sc.fail("session threads must be >= 1");
-    if (sc.next_token() != "state") sc.fail("expected 'state'");
-    s.state = session_state_from_string(sc.next_token());
-    if (sc.next_token() != "merged") sc.fail("expected 'merged'");
-    s.epochs_merged = sc.next_uint<std::uint64_t>("merged count");
-    if (sc.next_token() != "deduped") sc.fail("expected 'deduped'");
-    s.epochs_deduped = sc.next_uint<std::uint64_t>("deduped count");
-    if (sc.next_token() != "seen") sc.fail("expected 'seen'");
-    const std::uint64_t seen =
-        sc.next_uint_capped<std::uint64_t>("seen count", kMaxSeen);
-    if (sc.next_token() != "reason") sc.fail("expected 'reason'");
-    s.drop_reason = std::string(sc.rest_of_line());
-    s.seen.reserve(seen);
-    for (std::uint64_t k = 0; k < seen; ++k) {
-      s.seen.insert(sc.next_uint<std::uint64_t>("seen index"));
-    }
-    if (s.seen.size() != seen) sc.fail("duplicate seen indices");
-    s.charged = kSessionBaseCost + seen * kSeenEntryCost;
-    if (tracker != nullptr) tracker->add(s.charged);
-    if (!sessions.emplace(s.id, std::move(s)).second) {
-      sc.fail("duplicate session id");
-    }
-  }
-  agg.restore(sc);
-  if (!sc.at_end()) sc.fail("trailing data after aggregate");
 }
 
 // --- journal -----------------------------------------------------------------

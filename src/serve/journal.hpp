@@ -14,13 +14,14 @@
 //   exactly that window.
 //
 //   *Recovery is replay.* On restart the daemon loads the newest snapshot
-//   (atomic rename, so a crash mid-snapshot leaves the previous one intact),
-//   replays the WAL tail through the same merge path the live daemon uses —
-//   records at-or-below the snapshot's LSN are skipped, duplicates fall into
-//   the dedupe ledger — and rebuilds Session / Aggregate state
-//   bit-identically. A torn final record (the crash happened mid-write) is
-//   tolerated by design: the reader stops cleanly at the damage and the
-//   daemon compacts the recovered prefix into a fresh snapshot.
+//   (atomic rename, so a crash mid-snapshot leaves the previous one intact)
+//   and replays the WAL tail — records at-or-below the snapshot's LSN are
+//   skipped — through the ServeState transitions (serve/session) the live
+//   handlers call, so duplicates fall into the same dedupe ledger and the
+//   Session / Aggregate state is rebuilt bit-identically. A torn final
+//   record (the crash happened mid-write) is tolerated by design: the reader
+//   stops cleanly at the damage and the daemon compacts the recovered
+//   prefix into a fresh snapshot.
 //
 //   *Durability degrades before availability does.* Mirroring the overload
 //   ladder, the journal walks a durability ladder under pressure: the
@@ -44,19 +45,19 @@
 // Payloads are the repo's existing hostile-hardened text conventions: an
 // epochs record carries "session <id>\n" plus a verbatim `commscope-epochs`
 // document (core/epoch_io — already capped + CRC'd), so replay runs through
-// the identical validated parser as live ingestion. The snapshot file is a
-// versioned text format with the shared "crc32 <hex>" trailer.
+// the identical validated parser as live ingestion. The journal itself knows
+// no serve state: it frames and returns record payloads and stores snapshot
+// bytes, whose format and codec (serialize_serve_state) live in
+// serve/session next to the state they encode.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "resilience/fault_injector.hpp"
-#include "serve/session.hpp"
 #include "support/memtrack.hpp"
 
 namespace commscope::serve {
@@ -146,25 +147,6 @@ enum class FsyncPolicy : std::uint8_t {
 /// Parses "per-ack" / "per-n" / "on-compaction"; nullopt on anything else.
 [[nodiscard]] std::optional<FsyncPolicy> parse_fsync_policy(
     std::string_view s) noexcept;
-
-// --- snapshot (sealed WAL) ---------------------------------------------------
-
-/// Serializes the daemon's full recoverable state (session ledgers + dense
-/// aggregate + merged ring) as the versioned, CRC-trailered
-/// "commscope-serve-snapshot 1" text format. `last_lsn` records the WAL
-/// position the snapshot covers; replay skips records at or below it.
-[[nodiscard]] std::string serialize_serve_state(
-    const std::map<std::uint64_t, Session>& sessions, const Aggregate& agg,
-    std::uint64_t last_lsn);
-
-/// Inverse of serialize_serve_state. Treats the input as hostile (caps
-/// before allocation, checked conversions, CRC) and throws
-/// std::runtime_error on any deviation. Restored sessions are charged to
-/// `tracker` through the same cost model the live daemon uses.
-void restore_serve_state(std::string_view text,
-                         std::map<std::uint64_t, Session>& sessions,
-                         Aggregate& agg, std::uint64_t& last_lsn,
-                         support::MemoryTracker* tracker);
 
 // --- the journal -------------------------------------------------------------
 

@@ -57,9 +57,8 @@ int make_listen_socket(const std::string& path, std::string& error) {
 
 }  // namespace
 
-ServeServer::ServeServer(ServeOptions options) : options_(std::move(options)) {
-  aggregate_ = std::make_unique<Aggregate>(options_.merged_ring, &tracker_);
-}
+ServeServer::ServeServer(ServeOptions options)
+    : options_(std::move(options)), state_(options_.merged_ring, &tracker_) {}
 
 ServeServer::~ServeServer() {
   for (auto& [fd, conn] : conns_) {
@@ -115,8 +114,8 @@ bool ServeServer::open_journal() {
     std::uint64_t snapshot_lsn = 0;
     if (!snapshot.empty()) {
       try {
-        restore_serve_state(snapshot, sessions_, *aggregate_, snapshot_lsn,
-                            &tracker_);
+        restore_serve_state(snapshot, state_.sessions, state_.aggregate,
+                            snapshot_lsn, &tracker_);
       } catch (const std::runtime_error& e) {
         error_ = std::string("serve: corrupt snapshot: ") + e.what();
         journal_.reset();
@@ -136,14 +135,14 @@ bool ServeServer::open_journal() {
     const JournalStats& js = journal_->stats();
     stats_.recovered_torn_tail = js.torn_tail;
     if (stats_.recovered) {
-      stats_.recovered_sessions = sessions_.size();
+      stats_.recovered_sessions = state_.sessions.size();
       const std::uint64_t now = now_ms();
-      for (auto& [id, sess] : sessions_) {
+      for (auto& [id, sess] : state_.sessions) {
         // A recovered session's idle clock restarts now — the downtime was
         // the daemon's fault, not the client's missed heartbeat.
         sess.last_activity_ms = now;
       }
-      log_line("recovered " + std::to_string(sessions_.size()) +
+      log_line("recovered " + std::to_string(state_.sessions.size()) +
                " session(s), " + std::to_string(stats_.recovery_records) +
                " WAL record(s) replayed" +
                (js.torn_tail
@@ -171,61 +170,37 @@ void ServeServer::apply_wal_record(const WalRecord& r) {
     if (sc.next_token() != "session") sc.fail("expected 'session'");
     const std::uint64_t id = sc.next_uint<std::uint64_t>("session id");
     if (id == 0) sc.fail("session id must be nonzero");
-    switch (r.type) {
-      case WalRecordType::kHello: {
-        if (sc.next_token() != "threads") sc.fail("expected 'threads'");
-        const int threads = sc.next_uint_capped<int>(
-            "threads", static_cast<int>(options_.max_threads));
-        if (threads < 1) sc.fail("threads must be >= 1");
-        if (sessions_.find(id) != sessions_.end()) break;  // replay dup
-        Session s;
-        s.id = id;
-        s.threads = threads;
-        s.charged = kSessionBaseCost;
-        tracker_.add(s.charged);
-        sessions_.emplace(id, std::move(s));
-        break;
-      }
-      case WalRecordType::kEpochs: {
-        // Payload = "session <id>\n" + verbatim commscope-epochs document;
-        // replay runs the identical validated parse + dedupe + merge path
-        // as live ingestion, which is what makes recovery deterministic.
-        const std::size_t nl = r.payload.find('\n');
-        if (nl == std::string::npos) sc.fail("missing epochs document");
-        const core::EpochTimeline src =
-            core::read_epochs(std::string_view(r.payload).substr(nl + 1));
-        const auto it = sessions_.find(id);
-        if (it == sessions_.end()) sc.fail("epochs for unknown session");
-        Session& sess = it->second;
-        for (const core::EpochSample& e : src.epochs) {
-          if (!sess.seen.insert(e.index).second) continue;
-          sess.charged += kSeenEntryCost;
-          tracker_.add(kSeenEntryCost);
-          aggregate_->merge(src, e);
-          ++sess.epochs_merged;
-          ++stats_.recovered_epochs;
-        }
-        break;
-      }
-      case WalRecordType::kSeal:
-      case WalRecordType::kReap:
-      case WalRecordType::kDrop: {
-        const auto it = sessions_.find(id);
-        if (it == sessions_.end() ||
-            it->second.state != SessionState::kActive) {
-          break;  // replay dup or transition for an unknown session
-        }
-        if (r.type == WalRecordType::kSeal) {
-          it->second.state = SessionState::kSealed;
-        } else if (r.type == WalRecordType::kReap) {
-          it->second.state = SessionState::kReaped;
-        } else {
-          it->second.state = SessionState::kDropped;
-          it->second.drop_reason = std::string(sc.rest_of_line());
-        }
-        break;
-      }
+    const auto it = state_.sessions.find(id);
+    if (r.type == WalRecordType::kHello) {
+      if (sc.next_token() != "threads") sc.fail("expected 'threads'");
+      const int threads = sc.next_uint_capped<int>(
+          "threads", static_cast<int>(options_.max_threads));
+      if (threads < 1) sc.fail("threads must be >= 1");
+      // An id that already exists is a replayed duplicate.
+      if (it == state_.sessions.end()) state_.open(id, threads);
+      return;
     }
+    if (it == state_.sessions.end()) sc.fail("record for unknown session");
+    Session& sess = it->second;
+    if (r.type == WalRecordType::kEpochs) {
+      // Payload = "session <id>\n" + the verbatim frame payload, which goes
+      // through the parse, dedupe and merge of live ingestion.
+      const std::size_t nl = r.payload.find('\n');
+      if (nl == std::string::npos) sc.fail("missing epochs document");
+      const core::EpochTimeline src =
+          core::read_epochs(std::string_view(r.payload).substr(nl + 1));
+      const std::vector<const core::EpochSample*> fresh =
+          state_.dedupe(sess, src);
+      state_.merge(sess, src, fresh);
+      stats_.recovered_epochs += fresh.size();
+      return;
+    }
+    const SessionState to = r.type == WalRecordType::kSeal
+                                ? SessionState::kSealed
+                            : r.type == WalRecordType::kReap
+                                ? SessionState::kReaped
+                                : SessionState::kDropped;
+    (void)ServeState::end(sess, to, sc.rest_of_line());
   } catch (const std::runtime_error& e) {
     // CRC-valid but semantically hostile record (crafted WAL): skip it,
     // counted — a damaged log must never take recovery down.
@@ -250,7 +225,8 @@ void ServeServer::journal_transition(WalRecordType t, std::uint64_t id,
 void ServeServer::compact_locked() {
   if (!journal_) return;
   const std::string state =
-      serialize_serve_state(sessions_, *aggregate_, journal_->last_lsn());
+      serialize_serve_state(state_.sessions, state_.aggregate,
+                            journal_->last_lsn());
   if (journal_->compact(state)) {
     log_line("journal: compacted into snapshot (" +
              std::to_string(state.size()) + " bytes)");
@@ -261,9 +237,8 @@ void ServeServer::compact_locked() {
 
 void ServeServer::drain_locked() {
   log_line("drain requested (signal): sealing sessions");
-  for (auto& [id, sess] : sessions_) {
-    if (sess.state != SessionState::kActive) continue;
-    sess.state = SessionState::kSealed;
+  for (auto& [id, sess] : state_.sessions) {
+    if (!ServeState::end(sess, SessionState::kSealed)) continue;
     ++stats_.sessions_sealed;
     journal_transition(WalRecordType::kSeal, id);
   }
@@ -333,10 +308,9 @@ void ServeServer::close_conn(Conn& c) {
 
 void ServeServer::drop_session(Conn& c, const char* reason) {
   if (c.session != 0) {
-    const auto it = sessions_.find(c.session);
-    if (it != sessions_.end() && it->second.state == SessionState::kActive) {
-      it->second.state = SessionState::kDropped;
-      it->second.drop_reason = reason;
+    const auto it = state_.sessions.find(c.session);
+    if (it != state_.sessions.end() &&
+        ServeState::end(it->second, SessionState::kDropped, reason)) {
       ++stats_.sessions_dropped;
       journal_transition(WalRecordType::kDrop, c.session, reason);
       ctl::Tracer::instant("serve.drop", ctl::SpanCat::kServe);
@@ -399,8 +373,8 @@ void ServeServer::handle_hello(Conn& c, const std::string& payload) {
     ctl::Tracer::instant("serve.hello", ctl::SpanCat::kServe, -1, ctx, tns);
   }
 
-  const auto it = sessions_.find(id);
-  if (it != sessions_.end()) {
+  const auto it = state_.sessions.find(id);
+  if (it != state_.sessions.end()) {
     if (it->second.state != SessionState::kActive) {
       // A sealed/reaped/dropped session's contribution is final; a client
       // presenting its id again is refused, never un-sealed.
@@ -418,7 +392,7 @@ void ServeServer::handle_hello(Conn& c, const std::string& payload) {
   }
 
   std::uint32_t active = 0;
-  for (const auto& [sid, s] : sessions_) {
+  for (const auto& [sid, s] : state_.sessions) {
     if (s.state == SessionState::kActive) ++active;
   }
   if (stats_.rung >= 2 || active >= options_.max_sessions) {
@@ -431,22 +405,13 @@ void ServeServer::handle_hello(Conn& c, const std::string& payload) {
     return;
   }
 
-  Session s;
-  s.id = id;
-  s.threads = threads;
+  Session& s = state_.open(id, threads);
   s.ctx = ctx;
   s.last_activity_ms = now_ms();
-  s.charged = kSessionBaseCost;
-  tracker_.add(s.charged);
-  sessions_.emplace(id, std::move(s));
   c.session = id;
   ++stats_.sessions_accepted;
-  if (journal_) {
-    const std::string hello =
-        "session " + std::to_string(id) + " threads " +
-        std::to_string(threads);
-    (void)journal_->append(WalRecordType::kHello, hello, /*barrier=*/false);
-  }
+  journal_transition(WalRecordType::kHello, id,
+                     ("threads " + std::to_string(threads)).c_str());
   log_line("session " + std::to_string(id) + " (" + std::to_string(threads) +
            " threads) joined");
 }
@@ -465,8 +430,8 @@ void ServeServer::send_ack(Conn& c, std::uint64_t accepted) {
   // mean a pre-context daemon.
   std::string ack = std::to_string(accepted) + " accepted";
   if (c.session != 0) {
-    const auto it = sessions_.find(c.session);
-    if (it != sessions_.end() && it->second.ctx != 0) {
+    const auto it = state_.sessions.find(c.session);
+    if (it != state_.sessions.end() && it->second.ctx != 0) {
       ack += " ctx " + ctx_to_hex(it->second.ctx);
     }
   }
@@ -479,7 +444,7 @@ void ServeServer::handle_epochs(Conn& c, const std::string& payload) {
     drop_session(c, "epochs-before-hello");
     return;
   }
-  Session& sess = sessions_.at(c.session);
+  Session& sess = state_.sessions.at(c.session);
   sess.last_activity_ms = now_ms();
   sess.bytes += payload.size();
   if (stats_.rung >= 2) {
@@ -514,34 +479,16 @@ void ServeServer::handle_epochs(Conn& c, const std::string& payload) {
 
   // Staged so every leg of the daemon pipeline (decode -> dedupe -> merge ->
   // journal -> ack; fsync is timed inside the journal as serve.wal.fsync_us)
-  // owns a latency histogram: the dedupe pass collects fresh epochs in frame
-  // order, then the merge pass consumes them — same merge order as the old
-  // interleaved loop.
-  std::uint64_t accepted = 0;
-  std::vector<const core::EpochSample*> fresh;
-  fresh.reserve(src.epochs.size());
-  for (const core::EpochSample& e : src.epochs) {
-    if (!sess.seen.insert(e.index).second) {
-      // Redelivery after a retry — the (session id, epoch index) ledger
-      // makes shipping idempotent.
-      ++stats_.epochs_deduped;
-      ++sess.epochs_deduped;
-      ++accepted;
-      continue;
-    }
-    sess.charged += kSeenEntryCost;
-    tracker_.add(kSeenEntryCost);
-    fresh.push_back(&e);
-    ++accepted;
-  }
+  // owns a latency histogram. Every epoch is acknowledged: a redelivered one
+  // is absorbed by the ledger, not refused.
+  const std::uint64_t accepted = src.epochs.size();
+  const std::vector<const core::EpochSample*> fresh = state_.dedupe(sess, src);
+  stats_.epochs_deduped += accepted - fresh.size();
   const std::uint64_t t_deduped = ctl::mono_us();
 
   const std::uint64_t merge_t0 = ctl::Tracer::now_ns();
-  for (const core::EpochSample* e : fresh) {
-    aggregate_->merge(src, *e);
-    ++stats_.epochs_merged;
-    ++sess.epochs_merged;
-  }
+  state_.merge(sess, src, fresh);
+  stats_.epochs_merged += fresh.size();
   const std::uint64_t t_merged = ctl::mono_us();
   if (!fresh.empty()) {
     ctl::Tracer::complete("serve.merge", ctl::SpanCat::kServe, -1, merge_t0,
@@ -599,8 +546,8 @@ void ServeServer::handle_frame(Conn& c, Frame&& f) {
   ++stats_.frames_ok;
   c.last_activity_ms = now_ms();
   if (c.session != 0) {
-    const auto it = sessions_.find(c.session);
-    if (it != sessions_.end()) {
+    const auto it = state_.sessions.find(c.session);
+    if (it != state_.sessions.end()) {
       ++it->second.frames;
       it->second.last_activity_ms = c.last_activity_ms;
     }
@@ -617,10 +564,9 @@ void ServeServer::handle_frame(Conn& c, Frame&& f) {
       break;
     case FrameType::kBye:
       if (c.session != 0) {
-        const auto it = sessions_.find(c.session);
-        if (it != sessions_.end() &&
-            it->second.state == SessionState::kActive) {
-          it->second.state = SessionState::kSealed;
+        const auto it = state_.sessions.find(c.session);
+        if (it != state_.sessions.end() &&
+            ServeState::end(it->second, SessionState::kSealed)) {
           ++stats_.sessions_sealed;
           journal_transition(WalRecordType::kSeal, c.session);
           log_line("session " + std::to_string(c.session) + " sealed (bye)");
@@ -747,10 +693,9 @@ void ServeServer::accept_clients() {
 void ServeServer::reap_idle() {
   if (options_.reap_ms == 0) return;
   const std::uint64_t now = now_ms();
-  for (auto& [id, sess] : sessions_) {
-    if (sess.state != SessionState::kActive) continue;
+  for (auto& [id, sess] : state_.sessions) {
     if (now - sess.last_activity_ms <= options_.reap_ms) continue;
-    sess.state = SessionState::kReaped;
+    if (!ServeState::end(sess, SessionState::kReaped)) continue;
     ++stats_.sessions_reaped;
     journal_transition(WalRecordType::kReap, id);
     ctl::Tracer::instant("serve.reap", ctl::SpanCat::kServe);
@@ -933,17 +878,17 @@ void ServeServer::publish_metrics_locked() {
 
 core::EpochTimeline ServeServer::merged_timeline() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return aggregate_->timeline();
+  return state_.aggregate.timeline();
 }
 
 core::Matrix ServeServer::merged_matrix() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return aggregate_->matrix();
+  return state_.aggregate.matrix();
 }
 
 std::map<std::string, std::uint64_t> ServeServer::merged_loop_totals() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return aggregate_->loop_totals();
+  return state_.aggregate.loop_totals();
 }
 
 ServeStats ServeServer::snapshot() const {

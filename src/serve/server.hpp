@@ -191,7 +191,8 @@ class ServeServer {
   /// appending, and seals the recovered state into a fresh snapshot. False
   /// => error_ explains and the daemon refuses to start.
   [[nodiscard]] bool open_journal();
-  /// Replays one recovered WAL record through the live merge path.
+  /// Decodes one recovered WAL record and applies it through the same
+  /// ServeState transition the live handler that journaled it ran.
   void apply_wal_record(const WalRecord& r);
   /// Journals a session lifecycle transition (hello/seal/reap/drop).
   void journal_transition(WalRecordType t, std::uint64_t id,
@@ -212,11 +213,10 @@ class ServeServer {
   std::string error_;
   int listen_fd_ = -1;
 
-  mutable std::mutex mu_;  ///< guards sessions_/aggregate_/stats_
+  mutable std::mutex mu_;  ///< guards state_/stats_
   std::map<int, Conn> conns_;
-  std::map<std::uint64_t, Session> sessions_;
   support::MemoryTracker tracker_;
-  std::unique_ptr<Aggregate> aggregate_;
+  ServeState state_;  ///< after tracker_, which it charges
   std::unique_ptr<Journal> journal_;  ///< null when state_dir is empty
   ServeStats stats_;
   ServeStats published_;  ///< last values mirrored into the registry

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "core/epoch_io.hpp"
 #include "instrument/loop_registry.hpp"
-#include "telemetry/perf_counters.hpp"
 
 namespace commscope::serve {
 
@@ -106,7 +106,6 @@ void Aggregate::merge(const core::EpochTimeline& src,
     charge(epoch_cost(merged));
     ring_.push_back(std::move(merged));
     ring_head_ = ring_.size() % capacity_;
-    ++ring_kept_;
   } else {
     discharge(epoch_cost(ring_[ring_head_]));
     charge(epoch_cost(merged));
@@ -133,14 +132,8 @@ core::EpochTimeline Aggregate::timeline() const {
   t.sealed = sealed_;
   t.dropped = dropped_;
   t.loop_labels = labels_;
-  t.epochs.reserve(ring_kept_);
-  if (ring_.size() < capacity_) {
-    t.epochs = ring_;
-  } else {
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      t.epochs.push_back(ring_[(ring_head_ + i) % capacity_]);
-    }
-  }
+  t.epochs.reserve(ring_.size());
+  for (std::size_t i = 0; i < ring_.size(); ++i) t.epochs.push_back(oldest(i));
   return t;
 }
 
@@ -148,9 +141,6 @@ void Aggregate::serialize(std::string& out) const {
   out += "aggregate threads " + std::to_string(threads_) + " sealed " +
          std::to_string(sealed_) + " dropped " + std::to_string(dropped_) +
          " labels " + std::to_string(labels_.size()) + " ring ";
-  // Ring entries serialize oldest-first (the same order timeline() yields),
-  // so restore() rebuilds an equivalent overwrite cursor.
-  const bool wrapped = ring_.size() >= capacity_;
   out += std::to_string(ring_.size()) + '\n';
   out += "cells";
   for (const std::uint64_t v : cells_) out += ' ' + std::to_string(v);
@@ -159,36 +149,11 @@ void Aggregate::serialize(std::string& out) const {
     out += "label " + std::to_string(id) + ' ' +
            std::to_string(label_bytes_[id]) + ' ' + label + '\n';
   }
+  // Ring entries serialize oldest-first, so restore() rebuilds an
+  // equivalent overwrite cursor. Each carries the counter block only when it
+  // has counters: counterless snapshots keep the pre-perf bytes.
   for (std::size_t i = 0; i < ring_.size(); ++i) {
-    const core::EpochSample& e =
-        wrapped ? ring_[(ring_head_ + i) % capacity_] : ring_[i];
-    out += "epoch " + std::to_string(e.index) + " first " +
-           std::to_string(e.first_access) + " last " +
-           std::to_string(e.last_access) + " deps " +
-           std::to_string(e.dependencies) + " bytes " +
-           std::to_string(e.bytes) + " reason " + core::to_string(e.reason) +
-           " cells " + std::to_string(e.cells.size()) + " loops " +
-           std::to_string(e.loops.size());
-    // Hardware counter block, emitted only when the epoch carries one —
-    // counterless snapshots stay byte-identical to the pre-perf format, and
-    // restore() below treats the block as optional, so old daemons' WALs and
-    // new ones interoperate in both directions.
-    if (e.perf.any() || e.perf.multiplexed) {
-      out += " perf " + std::to_string(e.perf.present) + ' ' +
-             std::to_string(e.perf.multiplexed ? 1 : 0) + ' ' +
-             std::to_string(e.perf.cycles) + ' ' +
-             std::to_string(e.perf.instructions) + ' ' +
-             std::to_string(e.perf.llc_misses) + ' ' +
-             std::to_string(e.perf.hitm);
-    }
-    out += '\n';
-    for (const core::EpochCell& c : e.cells) {
-      out += std::to_string(c.producer) + ' ' + std::to_string(c.consumer) +
-             ' ' + std::to_string(c.bytes) + '\n';
-    }
-    for (const core::EpochLoopShare& s : e.loops) {
-      out += std::to_string(s.loop) + ' ' + std::to_string(s.bytes) + '\n';
-    }
+    core::write_epoch_block(out, oldest(i), core::PerfBlock::kOptional);
   }
 }
 
@@ -236,62 +201,12 @@ void Aggregate::restore(support::TokenScanner& sc) {
     charge(label.size() * 2 + sizeof(std::uint64_t) + 64);
   }
 
-  const std::uint64_t max_cells = static_cast<std::uint64_t>(threads_) *
-                                  static_cast<std::uint64_t>(threads_);
   ring_.reserve(ring);
   for (std::uint64_t i = 0; i < ring; ++i) {
-    if (sc.next_token() != "epoch") sc.fail("expected 'epoch'");
-    core::EpochSample e;
-    e.index = sc.next_uint<std::uint64_t>("epoch index");
-    if (sc.next_token() != "first") sc.fail("expected 'first'");
-    e.first_access = sc.next_uint<std::uint64_t>("first access");
-    if (sc.next_token() != "last") sc.fail("expected 'last'");
-    e.last_access = sc.next_uint<std::uint64_t>("last access");
-    if (e.last_access < e.first_access) sc.fail("epoch window inverted");
-    if (sc.next_token() != "deps") sc.fail("expected 'deps'");
-    e.dependencies = sc.next_uint<std::uint64_t>("dependency count");
-    if (sc.next_token() != "bytes") sc.fail("expected 'bytes'");
-    e.bytes = sc.next_uint<std::uint64_t>("byte count");
-    if (sc.next_token() != "reason") sc.fail("expected 'reason'");
-    e.reason = core::epoch_seal_from_string(std::string(sc.next_token()));
-    if (sc.next_token() != "cells") sc.fail("expected 'cells'");
-    const std::uint64_t cells =
-        sc.next_uint_capped<std::uint64_t>("cell count", max_cells);
-    if (sc.next_token() != "loops") sc.fail("expected 'loops'");
-    const std::uint64_t loops =
-        sc.next_uint_capped<std::uint64_t>("loop-share count", kMaxLabels);
-    if (sc.peek_token() == "perf") {
-      (void)sc.next_token();
-      e.perf.present = sc.next_uint_capped<std::uint8_t>(
-          "perf present mask", telemetry::kPerfPresentAll);
-      e.perf.multiplexed =
-          sc.next_uint_capped<std::uint8_t>("perf mux flag", 1) != 0;
-      e.perf.cycles = sc.next_uint<std::uint64_t>("perf cycles");
-      e.perf.instructions = sc.next_uint<std::uint64_t>("perf instructions");
-      e.perf.llc_misses = sc.next_uint<std::uint64_t>("perf llc misses");
-      e.perf.hitm = sc.next_uint<std::uint64_t>("perf hitm");
-    }
-    e.cells.reserve(cells);
-    for (std::uint64_t k = 0; k < cells; ++k) {
-      core::EpochCell c;
-      c.producer = sc.next_uint_capped<std::uint16_t>(
-          "producer", static_cast<std::uint16_t>(threads_ - 1));
-      c.consumer = sc.next_uint_capped<std::uint16_t>(
-          "consumer", static_cast<std::uint16_t>(threads_ - 1));
-      c.bytes = sc.next_uint<std::uint64_t>("cell bytes");
-      e.cells.push_back(c);
-    }
-    e.loops.reserve(loops);
-    for (std::uint64_t k = 0; k < loops; ++k) {
-      core::EpochLoopShare s;
-      s.loop = sc.next_uint<std::uint32_t>("loop id");
-      s.bytes = sc.next_uint<std::uint64_t>("loop bytes");
-      e.loops.push_back(s);
-    }
-    charge(epoch_cost(e));
-    ring_.push_back(std::move(e));
+    ring_.push_back(
+        core::read_epoch_block(sc, threads_, core::PerfBlock::kOptional));
+    charge(epoch_cost(ring_.back()));
   }
-  ring_kept_ = ring_.size();
   ring_head_ = ring_.size() >= capacity_ ? 0 : ring_.size() % capacity_;
   if (sealed_ < ring_.size()) sc.fail("ring exceeds sealed count");
 }
@@ -300,6 +215,150 @@ std::map<std::string, std::uint64_t> Aggregate::loop_totals() const {
   std::map<std::string, std::uint64_t> out;
   for (const auto& [id, label] : labels_) out[label] = label_bytes_[id];
   return out;
+}
+
+// --- transitions -------------------------------------------------------------
+
+Session& ServeState::open(std::uint64_t id, int threads) {
+  Session s;
+  s.id = id;
+  s.threads = threads;
+  s.charged = kSessionBaseCost;
+  if (tracker_ != nullptr) tracker_->add(s.charged);
+  return sessions.emplace(id, std::move(s)).first->second;
+}
+
+std::vector<const core::EpochSample*> ServeState::dedupe(
+    Session& s, const core::EpochTimeline& src) {
+  std::vector<const core::EpochSample*> fresh;
+  fresh.reserve(src.epochs.size());
+  for (const core::EpochSample& e : src.epochs) {
+    // The (session id, epoch index) ledger makes redelivery idempotent.
+    if (!s.seen.insert(e.index).second) {
+      ++s.epochs_deduped;
+      continue;
+    }
+    s.charged += kSeenEntryCost;
+    if (tracker_ != nullptr) tracker_->add(kSeenEntryCost);
+    fresh.push_back(&e);
+  }
+  return fresh;
+}
+
+void ServeState::merge(Session& s, const core::EpochTimeline& src,
+                       const std::vector<const core::EpochSample*>& fresh) {
+  for (const core::EpochSample* e : fresh) aggregate.merge(src, *e);
+  s.epochs_merged += fresh.size();
+}
+
+bool ServeState::end(Session& s, SessionState to, std::string_view reason) {
+  if (s.state != SessionState::kActive) return false;
+  s.state = to;
+  if (to == SessionState::kDropped) s.drop_reason = reason;
+  return true;
+}
+
+// --- snapshot ----------------------------------------------------------------
+
+namespace {
+
+constexpr const char* kSnapshotMagic = "commscope-serve-snapshot";
+constexpr int kSnapshotVersion = 1;
+constexpr std::uint64_t kMaxSessions = 1u << 16;
+/// Per-session dedupe-ledger ceiling. Far above anything the bounded ring
+/// can retain, but finite: a lying snapshot cannot allocate without bound.
+constexpr std::uint64_t kMaxSeen = 1u << 24;
+constexpr std::size_t kMaxSnapshotBytes = 512u << 20;
+
+}  // namespace
+
+std::string serialize_serve_state(
+    const std::map<std::uint64_t, Session>& sessions, const Aggregate& agg,
+    std::uint64_t last_lsn) {
+  std::string out;
+  out += kSnapshotMagic;
+  out += ' ';
+  out += std::to_string(kSnapshotVersion);
+  out += '\n';
+  out += "lsn " + std::to_string(last_lsn) + '\n';
+  out += "sessions " + std::to_string(sessions.size()) + '\n';
+  for (const auto& [id, s] : sessions) {
+    out += "session " + std::to_string(id) + " threads " +
+           std::to_string(s.threads) + " state " + to_string(s.state) +
+           " merged " + std::to_string(s.epochs_merged) + " deduped " +
+           std::to_string(s.epochs_deduped) + " seen " +
+           std::to_string(s.seen.size()) + " reason ";
+    // The drop reason is free text but single-line by construction; squash
+    // newlines defensively like epoch_io does for labels.
+    std::string clean = s.drop_reason.substr(0, 256);
+    for (char& ch : clean) {
+      if (ch == '\n' || ch == '\r') ch = ' ';
+    }
+    out += clean;
+    out += '\n';
+    int col = 0;
+    for (const std::uint64_t idx : s.seen) {
+      out += std::to_string(idx);
+      out.push_back(++col % 16 == 0 ? '\n' : ' ');
+    }
+    if (col % 16 != 0) out += '\n';
+  }
+  agg.serialize(out);
+  return support::with_crc_trailer(std::move(out));
+}
+
+void restore_serve_state(std::string_view text,
+                         std::map<std::uint64_t, Session>& sessions,
+                         Aggregate& agg, std::uint64_t& last_lsn,
+                         support::MemoryTracker* tracker) {
+  if (text.size() > kMaxSnapshotBytes) {
+    throw std::runtime_error("serve-snapshot: file too large");
+  }
+  const std::string_view payload =
+      support::verify_crc_trailer(text, /*require=*/true, "serve-snapshot");
+  support::TokenScanner sc(payload, "serve-snapshot");
+  if (sc.next_token() != kSnapshotMagic) sc.fail("bad magic");
+  const int version = sc.next_uint<int>("version");
+  if (version != kSnapshotVersion) {
+    sc.fail("unsupported version " + std::to_string(version));
+  }
+  if (sc.next_token() != "lsn") sc.fail("expected 'lsn'");
+  last_lsn = sc.next_uint<std::uint64_t>("lsn");
+  if (sc.next_token() != "sessions") sc.fail("expected 'sessions'");
+  const std::uint64_t count =
+      sc.next_uint_capped<std::uint64_t>("session count", kMaxSessions);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (sc.next_token() != "session") sc.fail("expected 'session'");
+    Session s;
+    s.id = sc.next_uint<std::uint64_t>("session id");
+    if (s.id == 0) sc.fail("session id must be nonzero");
+    if (sc.next_token() != "threads") sc.fail("expected 'threads'");
+    s.threads = sc.next_uint_capped<int>("session threads", 4096);
+    if (s.threads < 1) sc.fail("session threads must be >= 1");
+    if (sc.next_token() != "state") sc.fail("expected 'state'");
+    s.state = session_state_from_string(sc.next_token());
+    if (sc.next_token() != "merged") sc.fail("expected 'merged'");
+    s.epochs_merged = sc.next_uint<std::uint64_t>("merged count");
+    if (sc.next_token() != "deduped") sc.fail("expected 'deduped'");
+    s.epochs_deduped = sc.next_uint<std::uint64_t>("deduped count");
+    if (sc.next_token() != "seen") sc.fail("expected 'seen'");
+    const std::uint64_t seen =
+        sc.next_uint_capped<std::uint64_t>("seen count", kMaxSeen);
+    if (sc.next_token() != "reason") sc.fail("expected 'reason'");
+    s.drop_reason = std::string(sc.rest_of_line());
+    s.seen.reserve(seen);
+    for (std::uint64_t k = 0; k < seen; ++k) {
+      s.seen.insert(sc.next_uint<std::uint64_t>("seen index"));
+    }
+    if (s.seen.size() != seen) sc.fail("duplicate seen indices");
+    s.charged = kSessionBaseCost + seen * kSeenEntryCost;
+    if (tracker != nullptr) tracker->add(s.charged);
+    if (!sessions.emplace(s.id, std::move(s)).second) {
+      sc.fail("duplicate session id");
+    }
+  }
+  agg.restore(sc);
+  if (!sc.at_end()) sc.fail("trailing data after aggregate");
 }
 
 }  // namespace commscope::serve

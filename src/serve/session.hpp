@@ -17,11 +17,19 @@
 // view renders through the existing `commscope report` / timeline pipeline
 // unchanged. All session and aggregate storage is charged to the daemon's
 // MemoryTracker so the overload ladder sees real memory pressure.
+//
+// ServeState holds both and implements every transition the write-ahead
+// log records (open, dedupe-and-merge, seal/reap/drop) exactly once: the
+// live handlers and WAL replay call the same functions, so a recovered
+// daemon is rebuilt by the code that built the crashed one. The snapshot
+// codec (serialize_serve_state / restore_serve_state) lives here too, next
+// to the state it encodes; serve/journal only stores its bytes.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -124,6 +132,11 @@ class Aggregate {
   void discharge(std::uint64_t bytes);
   [[nodiscard]] static std::uint64_t epoch_cost(
       const core::EpochSample& e) noexcept;
+  /// The `i`-th surviving epoch, oldest first.
+  [[nodiscard]] const core::EpochSample& oldest(std::size_t i) const noexcept {
+    return ring_.size() < capacity_ ? ring_[i]
+                                    : ring_[(ring_head_ + i) % capacity_];
+  }
 
   std::uint32_t capacity_;
   support::MemoryTracker* tracker_;
@@ -139,9 +152,58 @@ class Aggregate {
 
   std::vector<core::EpochSample> ring_;
   std::size_t ring_head_ = 0;
-  std::size_t ring_kept_ = 0;
   std::uint64_t sealed_ = 0;
   std::uint64_t dropped_ = 0;
 };
+
+/// The daemon's durable state and its transitions (single-writer: the
+/// server loop, or recovery before the first accept). Each caller adds only
+/// its own extras: the live side its stats, journal appends and acks,
+/// replay its recovery counts.
+struct ServeState {
+  ServeState(std::uint32_t ring_capacity, support::MemoryTracker* tracker)
+      : aggregate(ring_capacity, tracker), tracker_(tracker) {}
+
+  /// hello: opens session `id`, which must not exist yet.
+  Session& open(std::uint64_t id, int threads);
+
+  /// epochs, first pass: claims each epoch of `src` whose index the
+  /// session's seen ledger lacks and counts the rest as redelivered.
+  /// Returns the claimed epochs in document order.
+  [[nodiscard]] std::vector<const core::EpochSample*> dedupe(
+      Session& s, const core::EpochTimeline& src);
+
+  /// epochs, second pass: merges what dedupe() claimed into the aggregate.
+  void merge(Session& s, const core::EpochTimeline& src,
+             const std::vector<const core::EpochSample*>& fresh);
+
+  /// seal, reap or drop: moves an active session to terminal state `to`
+  /// (`reason` is a drop's provenance). False, and no change, once the
+  /// session has already left kActive.
+  static bool end(Session& s, SessionState to, std::string_view reason = {});
+
+  std::map<std::uint64_t, Session> sessions;
+  Aggregate aggregate;
+
+ private:
+  support::MemoryTracker* tracker_;
+};
+
+/// Serializes the daemon's full recoverable state (session ledgers + dense
+/// aggregate + merged ring) as the versioned, CRC-trailered
+/// "commscope-serve-snapshot 1" text format. `last_lsn` records the WAL
+/// position the snapshot covers; replay skips records at or below it.
+[[nodiscard]] std::string serialize_serve_state(
+    const std::map<std::uint64_t, Session>& sessions, const Aggregate& agg,
+    std::uint64_t last_lsn);
+
+/// Inverse of serialize_serve_state. Treats the input as hostile (caps
+/// before allocation, checked conversions, CRC) and throws
+/// std::runtime_error on any deviation. Restored sessions are charged to
+/// `tracker` through the same cost model the live daemon uses.
+void restore_serve_state(std::string_view text,
+                         std::map<std::uint64_t, Session>& sessions,
+                         Aggregate& agg, std::uint64_t& last_lsn,
+                         support::MemoryTracker* tracker);
 
 }  // namespace commscope::serve

@@ -1,10 +1,10 @@
 #include "threading/registry.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <iterator>
 #include <mutex>
-#include <thread>
 
 #include "telemetry/metrics.hpp"
 
@@ -17,13 +17,8 @@ namespace commscope::threading {
 
 namespace {
 
-// One slot per leasable id. `depth` mirrors the owning thread's reentrancy
-// depth so quiesce() can observe "outside the runtime" cross-thread;
-// `seen_epoch` is stamped each time the owner leaves the runtime.
 struct Slot {
   std::atomic<std::uint32_t> live{0};
-  std::atomic<std::uint32_t> depth{0};
-  std::atomic<std::uint64_t> seen_epoch{0};
 };
 
 // All-registry shared state. Function-local static of trivially destructible
@@ -34,7 +29,6 @@ struct State {
   std::atomic<int> total{0};
   std::atomic<int> live{0};
   std::atomic<std::uint64_t> overflows{0};
-  std::atomic<std::uint64_t> epoch{0};
   std::atomic<ThreadRegistry::FlushFn> hooks[8] = {};
   std::atomic<int> hook_count{0};
   std::atomic<ThreadRegistry::ThreadExitFn> exit_hooks[8] = {};
@@ -68,9 +62,7 @@ struct Lease {
         }
       }
     }
-    Slot& s = state().slots[tid];
-    s.depth.store(0, std::memory_order_relaxed);
-    s.live.store(0, std::memory_order_release);
+    state().slots[tid].live.store(0, std::memory_order_release);
     const int live = state().live.fetch_sub(1, std::memory_order_relaxed) - 1;
     // Telemetry storage is static and trivially destructible, so stamping
     // from thread_local teardown is safe at any point of process exit.
@@ -87,18 +79,13 @@ thread_local bool tl_in_flush = false;
 #if defined(COMMSCOPE_HAVE_ATFORK)
 void after_fork_child() noexcept {
   // Only the forking thread survives into the child; every other lease is
-  // dead weight that would poison live_count/quiesce. Rebuild the table to
-  // contain exactly this thread (keeping its id stable across the fork).
+  // dead weight that would poison live_count. Rebuild the table to contain
+  // exactly this thread (keeping its id stable across the fork).
   State& s = state();
-  for (Slot& slot : s.slots) {
-    slot.live.store(0, std::memory_order_relaxed);
-    slot.depth.store(0, std::memory_order_relaxed);
-  }
+  for (Slot& slot : s.slots) slot.live.store(0, std::memory_order_relaxed);
   s.live.store(0, std::memory_order_relaxed);
   if (tl_lease.tid >= 0) {
-    Slot& mine = s.slots[tl_lease.tid];
-    mine.live.store(1, std::memory_order_relaxed);
-    mine.depth.store(tl_depth, std::memory_order_relaxed);
+    s.slots[tl_lease.tid].live.store(1, std::memory_order_relaxed);
     s.live.store(1, std::memory_order_relaxed);
   }
 }
@@ -126,9 +113,6 @@ int ThreadRegistry::current_tid() noexcept {
     if (s.slots[i].live.load(std::memory_order_relaxed) == 0 &&
         s.slots[i].live.compare_exchange_strong(expected, 1,
                                                 std::memory_order_acq_rel)) {
-      s.slots[i].depth.store(tl_depth, std::memory_order_relaxed);
-      s.slots[i].seen_epoch.store(s.epoch.load(std::memory_order_relaxed),
-                                  std::memory_order_relaxed);
       s.total.fetch_add(1, std::memory_order_relaxed);
       const int live = s.live.fetch_add(1, std::memory_order_relaxed) + 1;
       tl_lease.tid = i;
@@ -162,59 +146,11 @@ std::uint64_t ThreadRegistry::overflows() noexcept {
 // --- reentrancy -------------------------------------------------------------
 
 ThreadRegistry::ReentrancyGuard::ReentrancyGuard() noexcept
-    : engaged_(tl_depth == 0) {
-  ++tl_depth;
-  if (tl_lease.tid >= 0) {
-    state().slots[tl_lease.tid].depth.store(tl_depth,
-                                            std::memory_order_relaxed);
-  }
-}
+    : engaged_(tl_depth++ == 0) {}
 
-ThreadRegistry::ReentrancyGuard::~ReentrancyGuard() {
-  --tl_depth;
-  if (tl_lease.tid < 0) return;
-  Slot& s = state().slots[tl_lease.tid];
-  if (tl_depth == 0) {
-    // Leaving the runtime: stamp the epoch first, then publish depth 0 with
-    // release so quiesce()'s acquire load of depth also sees the stamp.
-    s.seen_epoch.store(state().epoch.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    s.depth.store(0, std::memory_order_release);
-  } else {
-    s.depth.store(tl_depth, std::memory_order_relaxed);
-  }
-}
+ThreadRegistry::ReentrancyGuard::~ReentrancyGuard() { --tl_depth; }
 
 bool ThreadRegistry::in_runtime() noexcept { return tl_depth > 0; }
-
-// --- epoch quiescence -------------------------------------------------------
-
-std::uint64_t ThreadRegistry::epoch() noexcept {
-  return state().epoch.load(std::memory_order_relaxed);
-}
-
-bool ThreadRegistry::quiesce(std::chrono::milliseconds timeout) {
-  State& s = state();
-  const std::uint64_t target =
-      s.epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    bool all_quiet = true;
-    for (Slot& slot : s.slots) {
-      if (slot.live.load(std::memory_order_acquire) == 0) continue;
-      // A slot is quiesced when its thread is outside the runtime at this
-      // poll, or has left the runtime (stamping the new epoch) since the
-      // bump — either way it held no signature state across our window.
-      if (slot.depth.load(std::memory_order_acquire) == 0) continue;
-      if (slot.seen_epoch.load(std::memory_order_relaxed) >= target) continue;
-      all_quiet = false;
-      break;
-    }
-    if (all_quiet) return true;
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::yield();
-  }
-}
 
 // --- flush hooks ------------------------------------------------------------
 

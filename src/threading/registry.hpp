@@ -21,13 +21,6 @@
 //     as "drop and count" (see core::Profiler::dropped_events()). The
 //     acquisition is retried on a later call, so a slot freed by an exiting
 //     thread becomes available to previously-overflowed threads.
-//   * Epoch-based quiescence — quiesce() answers "has every live thread
-//     passed a point outside the instrumentation runtime since I asked?"
-//     without stopping the world: it bumps the registry epoch and waits
-//     until every live slot is either outside the runtime right now or has
-//     re-entered and left again (stamping the new epoch on the way out).
-//     Teardown paths use it to know no signature state is still being
-//     touched by a thread that is about to exit mid-loop.
 //   * Reentrancy guard — instrumented allocators (a MemoryTracker observer
 //     that itself allocates, a malloc hook) would recurse into the sink
 //     forever; ReentrancyGuard gives each thread a depth counter so the
@@ -39,12 +32,13 @@
 //     only the forking thread: the other threads do not exist there and
 //     their slots must not leak into the child's profile.
 //
+// Stopping the world is not the registry's job: GuardedSink's safepoint
+// parks every appender before maintenance touches profiler state.
+//
 // All fast-path operations (current_tid after first use, guard enter/leave)
-// are a thread_local access plus at most one relaxed atomic store.
+// are thread_local accesses with no shared stores.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 
 namespace commscope::threading {
@@ -97,18 +91,6 @@ class ThreadRegistry {
 
   /// True while the calling thread holds at least one ReentrancyGuard.
   [[nodiscard]] static bool in_runtime() noexcept;
-
-  // --- epoch-based quiescence ----------------------------------------------
-
-  /// Current registry epoch (bumped by quiesce()).
-  [[nodiscard]] static std::uint64_t epoch() noexcept;
-
-  /// Bumps the epoch and waits until every live slot has been observed
-  /// outside the runtime since the bump: a slot is quiesced when its thread
-  /// is not inside a ReentrancyGuard at some poll, or has left the runtime
-  /// (stamping the new epoch) since. Returns false on timeout — some thread
-  /// stayed pinned inside the runtime the whole window.
-  [[nodiscard]] static bool quiesce(std::chrono::milliseconds timeout);
 
   // --- lifecycle flush hooks -----------------------------------------------
 

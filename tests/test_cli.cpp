@@ -144,6 +144,12 @@ TEST(CliErrors, MalformedFlagValueIsUsageError) {
   EXPECT_NE(r.output.find("--threads"), std::string::npos);
   const RunResult b = run_cli("run fft --mem-budget=12Q");
   EXPECT_EQ(b.exit_code, 2);
+  const RunResult scale = run_cli("run fft --scale=smal");
+  EXPECT_EQ(scale.exit_code, 2);
+  EXPECT_NE(scale.output.find("--scale"), std::string::npos);
+  const RunResult backend = run_cli("run fft --backend=exakt");
+  EXPECT_EQ(backend.exit_code, 2);
+  EXPECT_NE(backend.output.find("--backend"), std::string::npos);
 }
 
 TEST(CliErrors, CorruptMatrixFileFailsWithDiagnostic) {

@@ -478,6 +478,29 @@ TEST(GuardedSink, MemBudgetRunEndsWithDegradationProvenance) {
   EXPECT_NE(report.str().find("degradations:"), std::string::npos);
 }
 
+TEST(GuardedSink, CoarseFinalizeCountsBufferedAccesses) {
+  // A guard with no budget leaves the sink in coarse mode, where finalize()
+  // stamps events() from the profiler's access count; accesses still
+  // sitting in micro-batches must be in it.
+  cc::ProfilerOptions o;
+  o.max_threads = 4;
+  o.batch_size = 64;
+  cc::Profiler prof(o);
+  cr::ResourceGuard guard(cr::GuardOptions{}, prof);
+  cr::GuardedSink sink(prof, &guard, {});
+  for (int t = 0; t < 4; ++t) {
+    sink.on_thread_begin(t);
+    for (int i = 0; i < 100; ++i) {
+      sink.on_access(t, 0x1000 + static_cast<std::uintptr_t>(i) * 8, 8,
+                     i % 2 == 0 ? ci::AccessKind::kWrite
+                                : ci::AccessKind::kRead);
+    }
+  }
+  sink.finalize();
+  EXPECT_EQ(prof.stats().accesses, 400u);
+  EXPECT_EQ(sink.events(), prof.stats().accesses);
+}
+
 // --- concurrency hardening --------------------------------------------------
 
 TEST(GuardedSink, ReentrantEventsAreDroppedAndCounted) {

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -715,6 +716,62 @@ TEST(ServeDurable, RestartRecoversLedgerAndDedupesRedelivery) {
   const sv::ServeStats st = h2.server.snapshot();
   EXPECT_EQ(st.epochs_merged, 0u);  // nothing new merged this process
   EXPECT_TRUE(h2.server.merged_matrix() == truth.total());
+}
+
+/// Reads frames from `fd` until the daemon's ack arrives; returns its
+/// payload, or "" when the connection ends first.
+std::string await_ack(int fd) {
+  sv::FrameDecoder decoder;
+  char buf[4096];
+  for (;;) {
+    while (auto f = decoder.next()) {
+      if (f->type == sv::FrameType::kAck) return f->payload;
+    }
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0 || !decoder.feed(buf, static_cast<std::size_t>(n))) return "";
+  }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(ServeDurable, RecoveredSnapshotMatchesUninterruptedDaemon) {
+  // Kill-and-resume must equal an uninterrupted run: replaying the WAL a
+  // kill -9 leaves behind has to rebuild every snapshot field, including
+  // the dedupe count of a partly redelivered frame.
+  const std::string socket = next_socket_path();
+  const std::string state = next_state_dir();
+  const std::string crashed = next_state_dir();
+  ServerHandle h(durable_options(socket, state));
+  ASSERT_TRUE(h.start());
+  const int fd = raw_connect(socket);
+  ASSERT_GE(fd, 0);
+  raw_send(fd, sv::encode_frame(sv::FrameType::kHello,
+                                "commscope-hello 1 session 31 threads 4"));
+  raw_send(fd, sv::encode_frame(sv::FrameType::kEpochs,
+                                epochs_document(make_truth(2, 0x31, 0))));
+  EXPECT_EQ(await_ack(fd), "2 accepted");
+  // Epoch 1 again plus epoch 2: one redelivery, one fresh epoch.
+  raw_send(fd, sv::encode_frame(sv::FrameType::kEpochs,
+                                epochs_document(make_truth(2, 0x32, 1))));
+  EXPECT_EQ(await_ack(fd), "2 accepted");
+  ::close(fd);
+
+  // Every acked record is already written, so a copy now is what kill -9
+  // would leave.
+  std::filesystem::copy(state, crashed);
+  h.stop();  // the clean stop compacts into a snapshot
+  const std::string uninterrupted = read_file(state + "/snapshot.commscope");
+  ASSERT_NE(uninterrupted.find(" deduped 1 "), std::string::npos);
+
+  sv::ServeServer recovered(durable_options(next_socket_path(), crashed));
+  ASSERT_TRUE(recovered.open()) << recovered.last_error();
+  EXPECT_EQ(recovered.snapshot().recovery_records, 3u);
+  EXPECT_EQ(read_file(crashed + "/snapshot.commscope"), uninterrupted);
 }
 
 TEST(ServeDurable, PropagatedContextStitchesClientAndDaemonSpans) {

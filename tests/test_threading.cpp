@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -245,36 +244,6 @@ TEST(ThreadRegistry, ReentrancyGuardEngagesOutermostOnly) {
     EXPECT_FALSE(innermost.engaged());
   }
   EXPECT_TRUE(ct::ThreadRegistry::in_runtime());
-}
-
-TEST(ThreadRegistry, QuiesceSeesBusyThreadAndItsRelease) {
-  using namespace std::chrono_literals;
-  // Nobody inside the runtime: quiescence is immediate.
-  EXPECT_TRUE(ct::ThreadRegistry::quiesce(100ms));
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  std::atomic<bool> inside{false};
-  std::thread busy([&] {
-    (void)ct::ThreadRegistry::current_tid();
-    ct::ThreadRegistry::ReentrancyGuard guard;
-    inside.store(true);
-    std::unique_lock lk(mu);
-    cv.wait(lk, [&] { return release; });
-  });
-  while (!inside.load()) std::this_thread::yield();
-
-  // The parked thread sits inside the runtime: the epoch cannot advance.
-  EXPECT_FALSE(ct::ThreadRegistry::quiesce(50ms));
-
-  {
-    std::lock_guard lk(mu);
-    release = true;
-  }
-  cv.notify_all();
-  busy.join();
-  EXPECT_TRUE(ct::ThreadRegistry::quiesce(1000ms));
 }
 
 namespace {

@@ -358,9 +358,12 @@ cc::ProfilerOptions profiler_options(const cs::ArgParser& args, int threads) {
   o.signature_slots =
       static_cast<std::size_t>(args.get_int_strict("slots", 1 << 20));
   o.fp_rate = args.get_double_strict("fp-rate", 0.001);
-  o.backend = args.get("backend", "signature") == "exact"
-                  ? cc::Backend::kExact
-                  : cc::Backend::kAsymmetricSignature;
+  const std::string backend = args.get("backend", "signature");
+  if (backend != "signature" && backend != "exact") {
+    throw std::invalid_argument("--backend: expected signature or exact");
+  }
+  o.backend = backend == "exact" ? cc::Backend::kExact
+                                 : cc::Backend::kAsymmetricSignature;
   o.classify_dependences = args.has("classify");
   o.sparse_region_matrices = args.has("sparse");
   o.phase_window_bytes =
@@ -440,9 +443,10 @@ void maybe_ship_epochs(const cs::ArgParser& args, cc::Profiler& profiler,
 }
 
 cs::Scale parse_scale(const std::string& s) {
+  if (s == "dev") return cs::Scale::kDev;
   if (s == "small") return cs::Scale::kSmall;
   if (s == "large") return cs::Scale::kLarge;
-  return cs::Scale::kDev;
+  throw std::invalid_argument("--scale: expected dev, small or large");
 }
 
 /// The resilience stack wired around a profiler for one run/replay. Only
