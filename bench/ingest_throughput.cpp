@@ -5,8 +5,8 @@
 // through fresh profilers at a sweep of micro-batch sizes, measuring
 // single-thread ingest throughput — the quantity the batch layer attacks:
 // per-event dispatch, region lookup and, via hash-ahead prefetching of the
-// striped signature memories, the random cache misses that dominate
-// Figure 4's slowdown.
+// signature memories, the random cache misses that dominate Figure 4's
+// slowdown.
 //
 // Replay is deterministic: outside the timed region the recorded trace is
 // reordered once by instrument::round_robin() into fixed 256-event turns per

@@ -67,7 +67,7 @@ struct ProfilerOptions {
   /// per access (the paper's hot path); N in [1, kMaxBatchSize] buffers up
   /// to N accesses in a per-thread POD ring and drains them through the
   /// detector in one block, amortizing backend dispatch, region lookup and —
-  /// via hash-ahead prefetching of the striped signatures — the random-access
+  /// via hash-ahead prefetching of the signature slabs — the random-access
   /// cache misses that dominate Figure 4's slowdown. Batches are drained on
   /// loop enter/exit (so region attribution is unchanged), on finalize(), and
   /// on every on_drain()/flush_all() point; results are bit-identical to the

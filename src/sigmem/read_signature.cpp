@@ -3,15 +3,19 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sigmem/write_signature.hpp"  // kSignatureStripes
-
 namespace commscope::sigmem {
 
+static_assert(support::BloomWords::Word::is_always_lock_free &&
+                  sizeof(support::BloomWords::Word) == sizeof(std::uint64_t),
+              "slab words must be plain 64-bit words whose zero is all-zero");
+
 namespace {
-std::size_t floor_pow2(std::size_t n) noexcept {
-  std::size_t p = 1;
-  while (p * 2 <= n) p *= 2;
-  return p;
+/// Validates the arguments, then sizes the slab: n filters of bits/64 words.
+std::size_t slab_bytes(std::size_t slots, int max_threads,
+                       support::BloomParams params) {
+  if (slots == 0) throw std::invalid_argument("ReadSignature needs >= 1 slot");
+  if (max_threads < 1) throw std::invalid_argument("max_threads must be >= 1");
+  return slots * (params.bits / 64) * sizeof(support::BloomWords::Word);
 }
 }  // namespace
 
@@ -22,61 +26,25 @@ ReadSignature::ReadSignature(std::size_t slots, int max_threads, double fp_rate,
       fp_rate_(fp_rate),
       bloom_params_(
           support::bloom_params(static_cast<std::size_t>(max_threads), fp_rate)),
+      slot_words_(bloom_params_.bits / 64),
+      slab_(slab_bytes(slots, max_threads, bloom_params_)),
+      words_(slab_.as<support::BloomWords::Word>()),
       tracker_(tracker) {
-  if (slots == 0) throw std::invalid_argument("ReadSignature needs >= 1 slot");
-  if (max_threads < 1) throw std::invalid_argument("max_threads must be >= 1");
   slot_mask_ = (slots_ & (slots_ - 1)) == 0 ? slots_ - 1 : 0;
   probe_stride_ =
-      std::min(bloom_params_.hashes, support::BloomFilter::kMaxProbes);
+      std::min(bloom_params_.hashes, support::BloomWords::kMaxProbes);
   probes_.resize(static_cast<std::size_t>(max_threads_) * probe_stride_);
   probe_counts_.resize(static_cast<std::size_t>(max_threads_));
   for (int t = 0; t < max_threads_; ++t) {
-    probe_counts_[static_cast<std::size_t>(t)] = support::BloomFilter::probes_for(
+    probe_counts_[static_cast<std::size_t>(t)] = support::BloomWords::probes_for(
         bloom_params_, static_cast<std::uint64_t>(t),
         &probes_[static_cast<std::size_t>(t) * probe_stride_]);
   }
-  const std::size_t n_stripes = std::min(kSignatureStripes, floor_pow2(slots_));
-  stripe_mask_ = n_stripes - 1;
-  stripe_shift_ = 0;
-  while ((std::size_t{1} << stripe_shift_) < n_stripes) ++stripe_shift_;
-  level1_.reserve(n_stripes);
-  for (std::size_t s = 0; s < n_stripes; ++s) {
-    const std::size_t len = stripe_len(s);
-    auto cells = std::make_unique<std::atomic<support::BloomFilter*>[]>(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      cells[i].store(nullptr, std::memory_order_relaxed);
-    }
-    level1_.push_back(std::move(cells));
-  }
-  if (tracker_ != nullptr) {
-    tracker_->add(slots_ * sizeof(std::atomic<support::BloomFilter*>));
-  }
+  if (tracker_ != nullptr) tracker_->add(byte_size());
 }
 
 ReadSignature::~ReadSignature() {
-  for (std::size_t s = 0; s < level1_.size(); ++s) {
-    const std::size_t len = stripe_len(s);
-    for (std::size_t i = 0; i < len; ++i) {
-      delete level1_[s][i].load(std::memory_order_relaxed);
-    }
-  }
   if (tracker_ != nullptr) tracker_->sub(byte_size());
-}
-
-support::BloomFilter* ReadSignature::get_or_create(std::size_t slot) noexcept {
-  support::BloomFilter* bf = cell(slot).load(std::memory_order_acquire);
-  if (bf != nullptr) return bf;
-  auto fresh = std::make_unique<support::BloomFilter>(bloom_params_);
-  support::BloomFilter* expected = nullptr;
-  if (cell(slot).compare_exchange_strong(expected, fresh.get(),
-                                         std::memory_order_acq_rel)) {
-    allocated_.fetch_add(1, std::memory_order_relaxed);
-    if (tracker_ != nullptr) {
-      tracker_->add(sizeof(support::BloomFilter) + fresh->byte_size());
-    }
-    return fresh.release();  // ownership transferred to level1_
-  }
-  return expected;  // another thread won the race; `fresh` is discarded
 }
 
 bool ReadSignature::insert(std::size_t slot, int tid) noexcept {
@@ -88,45 +56,24 @@ bool ReadSignature::insert(std::size_t slot, int tid) noexcept {
   }
   if (tid >= max_threads_) [[unlikely]] {
     overflow_inserts_.fetch_add(1, std::memory_order_relaxed);
-    return get_or_create(slot)->insert(static_cast<std::uint64_t>(tid));
+    return filter(slot).insert(static_cast<std::uint64_t>(tid));
   }
   // In-range tids (every insert Algorithm 1 issues) use the probe set
   // precomputed in the constructor: same bit positions, one RMW per word.
-  return get_or_create(slot)->insert_probes(
-      &probes_[static_cast<std::size_t>(tid) * probe_stride_],
-      probe_counts_[static_cast<std::size_t>(tid)]);
+  const ProbeSet ps = probes_of(tid);
+  return filter(slot).insert_probes(ps.probes, ps.count);
 }
 
 bool ReadSignature::contains(std::size_t slot, int tid) const noexcept {
-  const support::BloomFilter* bf = cell(slot).load(std::memory_order_acquire);
-  if (bf == nullptr) return false;
   if (tid < 0 || tid >= max_threads_) [[unlikely]] {
-    return bf->contains(static_cast<std::uint64_t>(tid));
+    return filter(slot).contains(static_cast<std::uint64_t>(tid));
   }
-  return bf->contains_probes(
-      &probes_[static_cast<std::size_t>(tid) * probe_stride_],
-      probe_counts_[static_cast<std::size_t>(tid)]);
-}
-
-bool ReadSignature::any(std::size_t slot) const noexcept {
-  const support::BloomFilter* bf = cell(slot).load(std::memory_order_acquire);
-  return bf != nullptr && !bf->empty();
-}
-
-void ReadSignature::clear_slot(std::size_t slot) noexcept {
-  support::BloomFilter* bf = cell(slot).load(std::memory_order_acquire);
-  if (bf != nullptr) bf->clear();
+  const ProbeSet ps = probes_of(tid);
+  return filter(slot).contains_probes(ps.probes, ps.count);
 }
 
 void ReadSignature::clear() noexcept {
   for (std::size_t i = 0; i < slots_; ++i) clear_slot(i);
-}
-
-std::size_t ReadSignature::byte_size() const noexcept {
-  const std::size_t per_filter =
-      sizeof(support::BloomFilter) + bloom_params_.bits / 8;
-  return slots_ * sizeof(std::atomic<support::BloomFilter*>) +
-         allocated_.load(std::memory_order_relaxed) * per_filter;
 }
 
 }  // namespace commscope::sigmem

@@ -9,13 +9,9 @@
 // two-level read signature. The paper instantiates n = 10^7, t = 32,
 // FPRate = 0.001 and concludes "around 580MB could be sufficient".
 // bench/eq2_sigmem_model sweeps this model and checks it against the actual
-// allocations of the implementation.
-//
-// Striping note: both signatures physically shard their n slots across
-// power-of-two stripes (write_signature.hpp). The model is unaffected — the
-// stripes partition exactly the same n cells with no padding, so SigMem(n,t)
-// still describes the total allocation, and per-thread FPR is untouched
-// because slot_of() and the bloom sizing never see the stripe layout.
+// allocations of the implementation, which lays the signatures out exactly
+// as the model counts them: n write cells and n bloom filters, each filter's
+// m rounded up to whole 64-bit words.
 #pragma once
 
 #include <cmath>

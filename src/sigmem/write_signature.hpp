@@ -12,30 +12,20 @@
 // designed-in approximation (Section IV.D.2 discusses the accuracy/memory
 // trade-off the slot count controls).
 //
-// Storage is sharded into power-of-two *stripes* keyed by the low bits of
-// the (already murmur-mixed) slot index: stripe = slot & (S-1), index within
-// the stripe = slot >> log2(S). The mapping is a pure relayout — slot ids,
-// slot_of(), the total cell count, and therefore the Eq. 2 size/accuracy
-// math are all byte-for-byte what the flat array gave — but hash-adjacent
-// slots now live in different heap allocations, so concurrent batch
-// flushers probing neighbouring slot ids stop serializing on shared cache
-// lines.
+// The n cells are one flat array mapped zero-filled at construction
+// (support::Slab, next to the read signature's) and charged to the tracker
+// whole: the Eq. 2 write term, input-independent.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <vector>
 
 #include "support/hash.hpp"
 #include "support/memtrack.hpp"
+#include "support/slab.hpp"
 
 namespace commscope::sigmem {
-
-/// Stripe count used by both signature tables; clamped down to the largest
-/// power of two <= slots so tiny test configurations stay valid.
-inline constexpr std::size_t kSignatureStripes = 64;
 
 class WriteSignature {
  public:
@@ -62,17 +52,6 @@ class WriteSignature {
   /// signatures hash the address once and reduce twice.
   [[nodiscard]] std::size_t slot_from_hash(std::uint64_t h) const noexcept {
     return slot_mask_ != 0 ? (h & slot_mask_) : h % slots_;
-  }
-
-  /// Hints the cell for `slot` into cache ahead of record()/last_writer().
-  /// The batched ingest path hashes a whole block first and prefetches every
-  /// slot before probing any of them, overlapping the (random-access) misses.
-  void prefetch(std::size_t slot) const noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&cell(slot), 1 /*write*/, 1);
-#else
-    (void)slot;
-#endif
   }
 
   /// Records thread `tid` as the last writer of `slot`. Contract: tid must
@@ -104,21 +83,9 @@ class WriteSignature {
     return cell(slot).load(std::memory_order_acquire);
   }
 
-  /// The slot's backing cell. The batched drain gathers these pointers for a
-  /// whole block up front and performs both its snapshot load and the
-  /// conditional record() store through them, instead of re-deriving the
-  /// stripe indexing on every touch of the slot. The pointer is stable for
-  /// the signature's lifetime. Callers own the tid-validity contract that
-  /// record() enforces (only encode tid + 1 for tid >= 0).
-  [[nodiscard]] std::atomic<std::uint32_t>* cell_ptr(std::size_t slot) noexcept {
-    return &cell(slot);
-  }
-
   void clear() noexcept;
 
   [[nodiscard]] std::size_t slots() const noexcept { return slots_; }
-  /// Number of storage stripes (power of two).
-  [[nodiscard]] std::size_t stripes() const noexcept { return stripe_mask_ + 1; }
   [[nodiscard]] std::size_t byte_size() const noexcept {
     return slots_ * sizeof(std::uint32_t);
   }
@@ -132,21 +99,15 @@ class WriteSignature {
 
  private:
   std::size_t slots_;
-  std::size_t slot_mask_;     // slots - 1 when slots is a power of two, else 0
-  std::size_t stripe_mask_;   // stripes() - 1; stripes() is a power of two
-  unsigned stripe_shift_;     // log2(stripes())
-  std::vector<std::unique_ptr<std::atomic<std::uint32_t>[]>> stripes_;
+  std::size_t slot_mask_;  // slots - 1 when slots is a power of two, else 0
+  support::Slab slab_;
+  std::atomic<std::uint32_t>* cells_;  // slab_ as slots_ cells
   support::MemoryTracker* tracker_;
   std::atomic<std::uint64_t> rejected_{0};
 
   [[nodiscard]] std::atomic<std::uint32_t>& cell(std::size_t slot) const
       noexcept {
-    return stripes_[slot & stripe_mask_][slot >> stripe_shift_];
-  }
-  /// Exact number of slot ids landing in `stripe` (no padding, so the total
-  /// cell count — and the Eq. 2 byte budget — matches the flat layout).
-  [[nodiscard]] std::size_t stripe_len(std::size_t stripe) const noexcept {
-    return (slots_ - stripe + stripe_mask_) >> stripe_shift_;
+    return cells_[slot];
   }
 };
 

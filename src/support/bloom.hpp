@@ -16,6 +16,7 @@
 // required by the user").
 #pragma once
 
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -48,25 +49,42 @@ struct BloomParams {
   return p;
 }
 
-/// Thread-safe bloom filter over 64-bit keys.
-class BloomFilter {
+/// A bloom filter's operations over its backing words: `params.bits / 64`
+/// atomic words owned elsewhere. BloomFilter runs them on its own bitset and
+/// the read signature on one slot's stretch of its slab, so both layouts
+/// probe with one implementation. A BloomWords is a reference: copying it
+/// copies the pointer, not the bits.
+class BloomWords {
  public:
-  BloomFilter() = default;
+  using Word = std::atomic<std::uint64_t>;
 
-  BloomFilter(std::size_t capacity, double fp_rate)
-      : params_(bloom_params(capacity, fp_rate)), bits_(params_.bits) {}
-
-  explicit BloomFilter(BloomParams params) : params_(params), bits_(params.bits) {}
+  BloomWords(Word* words, BloomParams params) noexcept
+      : words_(words), params_(params) {}
 
   /// Inserts `key`; returns true if the key was (apparently) already present,
   /// i.e. every probed bit was already set.
-  bool insert(std::uint64_t key) noexcept {
+  bool insert(std::uint64_t key) const noexcept {
     const HashPair hp = split_hash(murmur_mix64(key));
     bool all_set = true;
     for (std::uint32_t i = 0; i < params_.hashes; ++i) {
-      all_set &= bits_.set(km_hash(hp.h1, hp.h2, i) % params_.bits);
+      const std::size_t bit = km_hash(hp.h1, hp.h2, i) % params_.bits;
+      const std::uint64_t mask = 1ULL << (bit & 63U);
+      all_set &= (words_[bit >> 6].fetch_or(mask, std::memory_order_acq_rel) &
+                  mask) != 0;
     }
     return all_set;
+  }
+
+  [[nodiscard]] bool contains(std::uint64_t key) const noexcept {
+    const HashPair hp = split_hash(murmur_mix64(key));
+    for (std::uint32_t i = 0; i < params_.hashes; ++i) {
+      const std::size_t bit = km_hash(hp.h1, hp.h2, i) % params_.bits;
+      if ((words_[bit >> 6].load(std::memory_order_acquire) &
+           (1ULL << (bit & 63U))) == 0) {
+        return false;
+      }
+    }
+    return true;
   }
 
   // --- precomputed probe sets ----------------------------------------------
@@ -114,16 +132,19 @@ class BloomFilter {
   /// every DISTINCT probed position was set before this call (a position
   /// probed twice reads its own first set, which probes_for() deduplicates
   /// by construction), which is exactly (old & mask) == mask per word.
-  bool insert_probes(const Probe* probes, std::uint32_t n) noexcept {
+  bool insert_probes(const Probe* probes, std::uint32_t n) const noexcept {
     bool all_set = true;
     for (std::uint32_t i = 0; i < n; ++i) {
+      Word& w = words_[probes[i].word];
       // Under the first-touch rule most reads are repeats whose bits are all
       // set already; a plain load then costs a fraction of the RMW and the
       // end state (and return value) is unchanged.
-      if ((bits_.word(probes[i].word) & probes[i].mask) == probes[i].mask) {
+      if ((w.load(std::memory_order_acquire) & probes[i].mask) ==
+          probes[i].mask) {
         continue;
       }
-      all_set &= bits_.set_word(probes[i].word, probes[i].mask);
+      all_set &= (w.fetch_or(probes[i].mask, std::memory_order_acq_rel) &
+                  probes[i].mask) == probes[i].mask;
     }
     return all_set;
   }
@@ -132,26 +153,28 @@ class BloomFilter {
   [[nodiscard]] bool contains_probes(const Probe* probes,
                                      std::uint32_t n) const noexcept {
     for (std::uint32_t i = 0; i < n; ++i) {
-      if ((bits_.word(probes[i].word) & probes[i].mask) != probes[i].mask) {
+      if ((words_[probes[i].word].load(std::memory_order_acquire) &
+           probes[i].mask) != probes[i].mask) {
         return false;
       }
     }
     return true;
   }
 
-  // --- block-gathered probes -----------------------------------------------
+  // --- gathered probes -----------------------------------------------------
   //
   // The batched drain splits contains_probes into a load pass and a judge
-  // pass so a whole block of filters can be probed with independent loads
-  // (memory-level parallelism) before any result is consumed:
-  // gather_probe_words() per filter, then words_cover() on the snapshots.
-  // words_cover(p, gathered, n) == contains_probes(p, n) against the state
-  // the gather observed — the judge is a pure function of the snapshot.
+  // pass, so the judgement is a pure function of a snapshot taken before the
+  // slot's first mutation: gather_probe_words(), then words_cover() on the
+  // snapshot. words_cover(p, gathered, n) == contains_probes(p, n) against
+  // the state the gather observed.
 
   /// Loads (acquire) the backing word of each probe group into `out`.
   void gather_probe_words(const Probe* probes, std::uint32_t n,
                           std::uint64_t* out) const noexcept {
-    for (std::uint32_t i = 0; i < n; ++i) out[i] = bits_.word(probes[i].word);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      out[i] = words_[probes[i].word].load(std::memory_order_acquire);
+    }
   }
 
   /// contains_probes over a gathered snapshot: true iff every probe group's
@@ -166,19 +189,56 @@ class BloomFilter {
     return all;
   }
 
-  [[nodiscard]] bool contains(std::uint64_t key) const noexcept {
-    const HashPair hp = split_hash(murmur_mix64(key));
-    for (std::uint32_t i = 0; i < params_.hashes; ++i) {
-      if (!bits_.test(km_hash(hp.h1, hp.h2, i) % params_.bits)) return false;
+  /// Zeroes every word, skipping words already zero: the end state of a
+  /// plain store loop without dirtying the cache line of an empty filter,
+  /// which is what most clears in a write-dominated region find. Not atomic
+  /// as a whole: a concurrent insert may land before or after the store, and
+  /// both serializations are legal (see AtomicBitset).
+  void clear() const noexcept {
+    for (std::size_t w = 0; w < params_.bits / 64; ++w) {
+      if (words_[w].load(std::memory_order_relaxed) != 0) {
+        words_[w].store(0, std::memory_order_release);
+      }
     }
-    return true;
   }
 
-  void clear() noexcept { bits_.clear(); }
+  /// True if any bit is set.
+  [[nodiscard]] bool any() const noexcept {
+    for (std::size_t w = 0; w < params_.bits / 64; ++w) {
+      if (words_[w].load(std::memory_order_relaxed) != 0) return true;
+    }
+    return false;
+  }
 
-  /// clear() that skips already-zero words (see AtomicBitset::clear_sparing).
-  /// Used by the batched drain, where most cleared filters are already empty.
-  void clear_sparing() noexcept { bits_.clear_sparing(); }
+ private:
+  Word* words_;
+  BloomParams params_;
+};
+
+/// Thread-safe bloom filter over 64-bit keys, owning its bits.
+class BloomFilter {
+ public:
+  BloomFilter() = default;
+
+  BloomFilter(std::size_t capacity, double fp_rate)
+      : params_(bloom_params(capacity, fp_rate)), bits_(params_.bits) {}
+
+  explicit BloomFilter(BloomParams params) : params_(params), bits_(params.bits) {}
+
+  /// Inserts `key`; returns true if the key was (apparently) already present.
+  bool insert(std::uint64_t key) noexcept { return words().insert(key); }
+
+  [[nodiscard]] bool contains(std::uint64_t key) const noexcept {
+    return words().contains(key);
+  }
+
+  void clear() noexcept { words().clear(); }
+
+  /// The word-level operations over this filter's bits (precomputed probe
+  /// sets, gathered words).
+  [[nodiscard]] BloomWords words() const noexcept {
+    return BloomWords(bits_.words(), params_);
+  }
 
   [[nodiscard]] std::size_t bit_count() const noexcept { return params_.bits; }
   [[nodiscard]] std::uint32_t hash_count() const noexcept {
@@ -188,11 +248,7 @@ class BloomFilter {
     return bits_.byte_size();
   }
   [[nodiscard]] std::size_t popcount() const noexcept { return bits_.count(); }
-  [[nodiscard]] bool empty() const noexcept { return !bits_.any(); }
-
-  /// Address of the bit words, for cache prefetch hints (see
-  /// ReadSignature::prefetch_filter_bits).
-  [[nodiscard]] const void* bits_data() const noexcept { return bits_.data(); }
+  [[nodiscard]] bool empty() const noexcept { return !words().any(); }
 
   /// Measured false-positive probability given the current fill level:
   /// (popcount/m)^k. Used by tests to validate the sizing law.

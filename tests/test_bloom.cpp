@@ -1,8 +1,8 @@
 // Bloom-filter tests: Eq. 2 sizing law, no-false-negative guarantee, a
 // parameterized sweep verifying the realized FPR respects the configured
 // target across (capacity, fp_rate) operating points, and the word-level
-// probe paths (probes_for / insert_probes / contains_probes / gathered
-// words) the batched ingest drain is built on.
+// operations (BloomWords: probes_for / insert_probes / contains_probes /
+// gathered words) the read signature and the batched ingest drain run on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -59,6 +59,31 @@ TEST(BloomFilter, ClearResets) {
   EXPECT_TRUE(bf.empty());
   EXPECT_FALSE(bf.contains(1));
   EXPECT_FALSE(bf.contains(2));
+  bf.clear();  // clear skips zero words: idempotent on an empty filter
+  EXPECT_TRUE(bf.empty());
+}
+
+TEST(BloomWords, SlotsOfOneArrayAreIndependentFilters) {
+  // The read signature's layout: several filters back to back in one word
+  // array. Each BloomWords over its own stretch must behave like a separate
+  // BloomFilter with the same params, and never touch its neighbours.
+  const cs::BloomParams params = cs::bloom_params(8, 0.001);
+  const std::size_t per = params.bits / 64;
+  std::vector<cs::BloomWords::Word> slab(3 * per);
+  const cs::BloomWords mid(slab.data() + per, params);
+  cs::BloomFilter ref(params);
+  for (std::uint64_t key = 0; key < 8; key += 2) {
+    ASSERT_EQ(mid.insert(key), ref.insert(key));
+  }
+  for (std::uint64_t key = 0; key < 8; ++key) {
+    EXPECT_EQ(mid.contains(key), ref.contains(key)) << "key " << key;
+  }
+  for (std::size_t w = 0; w < per; ++w) {
+    EXPECT_EQ(slab[w].load(), 0u);
+    EXPECT_EQ(slab[2 * per + w].load(), 0u);
+  }
+  mid.clear();
+  EXPECT_FALSE(mid.any());
 }
 
 TEST(BloomFilter, ByteSizeMatchesParams) {
@@ -85,8 +110,8 @@ TEST(BloomProbes, ProbesForDedupesWordsAndBoundsCount) {
                                 {64, 0.001}}) {
     const cs::BloomParams params = cs::bloom_params(cap, fp);
     for (std::uint64_t key = 0; key < 200; ++key) {
-      cs::BloomFilter::Probe probes[cs::BloomFilter::kMaxProbes];
-      const std::uint32_t n = cs::BloomFilter::probes_for(params, key, probes);
+      cs::BloomWords::Probe probes[cs::BloomWords::kMaxProbes];
+      const std::uint32_t n = cs::BloomWords::probes_for(params, key, probes);
       ASSERT_GE(n, 1u);
       ASSERT_LE(n, params.hashes);
       std::uint32_t total_bits = 0;
@@ -114,12 +139,12 @@ TEST(BloomProbes, InsertProbesMatchesPerKeyInsertExactly) {
   cs::BloomFilter b(params);
   for (int round = 0; round < 3; ++round) {
     for (std::uint64_t key = 0; key < 16; ++key) {
-      cs::BloomFilter::Probe probes[cs::BloomFilter::kMaxProbes];
-      const std::uint32_t n = cs::BloomFilter::probes_for(params, key, probes);
-      ASSERT_EQ(a.insert(key), b.insert_probes(probes, n))
+      cs::BloomWords::Probe probes[cs::BloomWords::kMaxProbes];
+      const std::uint32_t n = cs::BloomWords::probes_for(params, key, probes);
+      ASSERT_EQ(a.insert(key), b.words().insert_probes(probes, n))
           << "round " << round << " key " << key;
       ASSERT_EQ(a.popcount(), b.popcount());
-      ASSERT_TRUE(b.contains_probes(probes, n));
+      ASSERT_TRUE(b.words().contains_probes(probes, n));
       ASSERT_EQ(a.contains(key), b.contains(key));
     }
   }
@@ -130,11 +155,11 @@ TEST(BloomProbes, InsertProbesSecondCallTakesLoadSkipPath) {
   // "already present" and leave the filter unchanged.
   const cs::BloomParams params = cs::bloom_params(32, 0.001);
   cs::BloomFilter bf(params);
-  cs::BloomFilter::Probe probes[cs::BloomFilter::kMaxProbes];
-  const std::uint32_t n = cs::BloomFilter::probes_for(params, 5, probes);
-  EXPECT_FALSE(bf.insert_probes(probes, n));
+  cs::BloomWords::Probe probes[cs::BloomWords::kMaxProbes];
+  const std::uint32_t n = cs::BloomWords::probes_for(params, 5, probes);
+  EXPECT_FALSE(bf.words().insert_probes(probes, n));
   const std::size_t pop = bf.popcount();
-  EXPECT_TRUE(bf.insert_probes(probes, n));
+  EXPECT_TRUE(bf.words().insert_probes(probes, n));
   EXPECT_EQ(bf.popcount(), pop);
 }
 
@@ -145,32 +170,20 @@ TEST(BloomProbes, GatheredWordsJudgeLikeContainsProbes) {
   // the old state (it is a pure function of the snapshot).
   const cs::BloomParams params = cs::bloom_params(16, 0.001);
   cs::BloomFilter bf(params);
-  cs::BloomFilter::Probe probes[cs::BloomFilter::kMaxProbes];
-  const std::uint32_t n = cs::BloomFilter::probes_for(params, 3, probes);
-  std::uint64_t words[cs::BloomFilter::kMaxProbes];
-  bf.gather_probe_words(probes, n, words);
-  EXPECT_FALSE(cs::BloomFilter::words_cover(probes, words, n));
-  EXPECT_EQ(cs::BloomFilter::words_cover(probes, words, n),
-            bf.contains_probes(probes, n));
+  cs::BloomWords::Probe probes[cs::BloomWords::kMaxProbes];
+  const std::uint32_t n = cs::BloomWords::probes_for(params, 3, probes);
+  std::uint64_t words[cs::BloomWords::kMaxProbes];
+  bf.words().gather_probe_words(probes, n, words);
+  EXPECT_FALSE(cs::BloomWords::words_cover(probes, words, n));
+  EXPECT_EQ(cs::BloomWords::words_cover(probes, words, n),
+            bf.words().contains_probes(probes, n));
   bf.insert(3);
   // Stale snapshot still judges the pre-insert state...
-  EXPECT_FALSE(cs::BloomFilter::words_cover(probes, words, n));
+  EXPECT_FALSE(cs::BloomWords::words_cover(probes, words, n));
   // ...and a fresh gather agrees with contains_probes again.
-  bf.gather_probe_words(probes, n, words);
-  EXPECT_TRUE(cs::BloomFilter::words_cover(probes, words, n));
-  EXPECT_TRUE(bf.contains_probes(probes, n));
-}
-
-TEST(BloomProbes, ClearSparingMatchesClear) {
-  const cs::BloomParams params = cs::bloom_params(64, 0.001);
-  cs::BloomFilter bf(params);
-  for (std::uint64_t k = 0; k < 64; ++k) bf.insert(k);
-  ASSERT_FALSE(bf.empty());
-  bf.clear_sparing();
-  EXPECT_TRUE(bf.empty());
-  for (std::uint64_t k = 0; k < 64; ++k) EXPECT_FALSE(bf.contains(k));
-  bf.clear_sparing();  // idempotent on an empty filter
-  EXPECT_TRUE(bf.empty());
+  bf.words().gather_probe_words(probes, n, words);
+  EXPECT_TRUE(cs::BloomWords::words_cover(probes, words, n));
+  EXPECT_TRUE(bf.words().contains_probes(probes, n));
 }
 
 TEST(BloomProbes, ConcurrentSameFilterInsertsLoseNoKey) {
@@ -183,13 +196,13 @@ TEST(BloomProbes, ConcurrentSameFilterInsertsLoseNoKey) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&bf, &params, t] {
-      cs::BloomFilter::Probe probes[cs::BloomFilter::kMaxProbes];
+      cs::BloomWords::Probe probes[cs::BloomWords::kMaxProbes];
       for (int rep = 0; rep < 500; ++rep) {
         for (std::uint64_t key = static_cast<std::uint64_t>(t); key < 64;
              key += kThreads) {
           const std::uint32_t n =
-              cs::BloomFilter::probes_for(params, key, probes);
-          bf.insert_probes(probes, n);
+              cs::BloomWords::probes_for(params, key, probes);
+          bf.words().insert_probes(probes, n);
         }
       }
     });

@@ -547,21 +547,28 @@ TEST(ServeSoak, EightClientsThroughInjectedFaultsMergeBitIdentical) {
   std::vector<int> ok(kClients, 0);
   std::vector<std::string> ctxs(kClients);
   std::vector<sv::ShipStats> stats(kClients);
+  const auto run_client = [&](int i) {
+    sv::ShipperOptions so = shipper_options(socket, 100 + i);
+    if (i == 2) so.injector = &client_injector;
+    sv::EpochShipper shipper(so);
+    ctxs[static_cast<std::size_t>(i)] = sv::ctx_to_hex(shipper.trace_ctx());
+    if (shipper.ship(truths[static_cast<std::size_t>(i)])) {
+      // Client 0 "crashes" without a goodbye — its session stays active
+      // so the redelivery below reattaches it.
+      if (i != 0) shipper.bye();
+      ok[static_cast<std::size_t>(i)] = 1;
+    }
+    stats[static_cast<std::size_t>(i)] = shipper.stats();
+  };
+  // Client 2 connects alone and the others start only once its torn frame
+  // has reached the daemon. Otherwise client 2's first connection could be
+  // the 2nd accept, which the accept fault closes unread, and the half
+  // frame would never arrive. This way the failed accept is another
+  // client's or client 2's reconnect, after the tear.
+  clients.emplace_back(run_client, 2);
+  (void)wait_until([&] { return h.server.snapshot().frames_torn >= 1; });
   for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&, i] {
-      sv::ShipperOptions so = shipper_options(socket, 100 + i);
-      if (i == 2) so.injector = &client_injector;
-      sv::EpochShipper shipper(so);
-      ctxs[static_cast<std::size_t>(i)] =
-          sv::ctx_to_hex(shipper.trace_ctx());
-      if (shipper.ship(truths[static_cast<std::size_t>(i)])) {
-        // Client 0 "crashes" without a goodbye — its session stays active
-        // so the redelivery below reattaches it.
-        if (i != 0) shipper.bye();
-        ok[static_cast<std::size_t>(i)] = 1;
-      }
-      stats[static_cast<std::size_t>(i)] = shipper.stats();
-    });
+    if (i != 2) clients.emplace_back(run_client, i);
   }
   for (std::thread& t : clients) t.join();
   for (int i = 0; i < kClients; ++i) {
