@@ -3,7 +3,7 @@
 // Measures the per-access cost of the asymmetric-signature detector against
 // the exact (perfect-signature) backend — the accuracy/overhead trade-off at
 // the heart of the paper — and the cost split between read and write paths,
-// plus bloom hash-count sensitivity.
+// plus the read signature's insert cost across bloom hash counts.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -14,12 +14,11 @@
 #include "resilience/guarded_sink.hpp"
 #include "resilience/resource_guard.hpp"
 #include "sigmem/exact_signature.hpp"
-#include "support/bloom.hpp"
+#include "sigmem/read_signature.hpp"
 
 namespace cc = commscope::core;
 namespace ci = commscope::instrument;
 namespace cr = commscope::resilience;
-namespace cs = commscope::support;
 namespace sg = commscope::sigmem;
 
 namespace {
@@ -140,17 +139,19 @@ void BM_GuardedSink_IdleGuard(benchmark::State& state) {
   drive_sink(state, prof, sink);
 }
 
-/// Bloom insert cost vs configured FP rate (more hash probes per op).
-void BM_BloomInsert(benchmark::State& state) {
+/// Read-signature insert cost vs configured FP rate (more probe words per
+/// op): ReadSignature::insert(slot, tid) with the probe sets the constructor
+/// precomputes, the path Algorithm 1 runs on every read.
+void BM_ReadSignatureInsert(benchmark::State& state) {
   const double fp = 1.0 / static_cast<double>(state.range(0));
-  cs::BloomFilter bf(32, fp);
-  std::uint64_t key = 0;
+  sg::ReadSignature rs(1, 32, fp);
+  int tid = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bf.insert(key));
-    key = (key + 1) % 32;
+    benchmark::DoNotOptimize(rs.insert(0, tid));
+    tid = (tid + 1) % 32;
   }
-  state.counters["hashes"] = bf.hash_count();
-  state.counters["bits"] = static_cast<double>(bf.bit_count());
+  state.counters["hashes"] = rs.bloom_params().hashes;
+  state.counters["bits"] = static_cast<double>(rs.bloom_params().bits);
 }
 
 }  // namespace
@@ -162,4 +163,4 @@ BENCHMARK(BM_ExactSignature_WritePath);
 BENCHMARK(BM_ProfilerDirect);
 BENCHMARK(BM_GuardedSink_Passthrough);
 BENCHMARK(BM_GuardedSink_IdleGuard);
-BENCHMARK(BM_BloomInsert)->Arg(10)->Arg(100)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_ReadSignatureInsert)->Arg(10)->Arg(100)->Arg(1000)->Arg(100000);

@@ -28,6 +28,9 @@ void IpmProfiler::on_loop_exit(int) {}
 
 void IpmProfiler::on_access(int tid, std::uintptr_t addr, std::uint32_t size,
                             instrument::AccessKind kind) {
+  if (static_cast<unsigned>(tid) >= static_cast<unsigned>(max_threads_)) {
+    return;
+  }
   Record r;
   r.packed = (static_cast<std::uint64_t>(addr) & kAddrMask) |
              (static_cast<std::uint64_t>(tid) << kTidShift) |

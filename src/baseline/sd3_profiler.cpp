@@ -17,16 +17,16 @@ Sd3Profiler::Sd3Profiler(int max_threads)
 }
 
 void Sd3Profiler::on_thread_begin(int tid) {
-  threads_[static_cast<std::size_t>(tid)].loop_stack.clear();
+  if (ThreadState* ts = thread(tid)) ts->loop_stack.clear();
 }
 
 void Sd3Profiler::on_loop_enter(int tid, instrument::LoopId id) {
-  threads_[static_cast<std::size_t>(tid)].loop_stack.push_back(id);
+  if (ThreadState* ts = thread(tid)) ts->loop_stack.push_back(id);
 }
 
 void Sd3Profiler::on_loop_exit(int tid) {
-  ThreadState& ts = threads_[static_cast<std::size_t>(tid)];
-  if (!ts.loop_stack.empty()) ts.loop_stack.pop_back();
+  ThreadState* ts = thread(tid);
+  if (ts != nullptr && !ts->loop_stack.empty()) ts->loop_stack.pop_back();
 }
 
 void Sd3Profiler::seal(ThreadState& ts, const StreamKey& key) {
@@ -44,7 +44,9 @@ void Sd3Profiler::seal(ThreadState& ts, const StreamKey& key) {
 
 void Sd3Profiler::on_access(int tid, std::uintptr_t addr, std::uint32_t size,
                             instrument::AccessKind kind) {
-  ThreadState& ts = threads_[static_cast<std::size_t>(tid)];
+  ThreadState* tsp = thread(tid);
+  if (tsp == nullptr) return;
+  ThreadState& ts = *tsp;
   ++ts.accesses;
   const instrument::LoopId loop =
       ts.loop_stack.empty() ? instrument::kNoLoop : ts.loop_stack.back();

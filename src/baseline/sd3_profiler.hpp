@@ -37,6 +37,9 @@ class Sd3Profiler final : public instrument::AccessSink {
  public:
   explicit Sd3Profiler(int max_threads);
 
+  /// Events whose tid is outside [0, max_threads) are ignored: they have no
+  /// per-thread state to update (ThreadRegistry::kUnregistered is never an
+  /// index).
   void on_thread_begin(int tid) override;
   void on_loop_enter(int tid, instrument::LoopId id) override;
   void on_loop_exit(int tid) override;
@@ -107,6 +110,14 @@ class Sd3Profiler final : public instrument::AccessSink {
       const std::vector<StrideEntry>& entries);
   static std::uint64_t overlap_bytes(const std::vector<Interval>& a,
                                      const std::vector<Interval>& b);
+
+  /// `tid`'s state, or nullptr when the tid is out of range.
+  [[nodiscard]] ThreadState* thread(int tid) noexcept {
+    if (static_cast<unsigned>(tid) >= static_cast<unsigned>(max_threads_)) {
+      return nullptr;
+    }
+    return &threads_[static_cast<std::size_t>(tid)];
+  }
 
   int max_threads_;
   std::unique_ptr<ThreadState[]> threads_;

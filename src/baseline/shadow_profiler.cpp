@@ -32,6 +32,9 @@ ShadowProfiler::Cell& ShadowProfiler::cell_for(std::uintptr_t addr) {
 
 void ShadowProfiler::on_access(int tid, std::uintptr_t addr, std::uint32_t size,
                                instrument::AccessKind kind) {
+  if (static_cast<unsigned>(tid) >= static_cast<unsigned>(max_threads_)) {
+    return;
+  }
   Cell& c = cell_for(addr);
   if (kind == instrument::AccessKind::kWrite) {
     c.readers.store(0, std::memory_order_relaxed);

@@ -11,10 +11,9 @@
 // always-on recorder is safe on an unbounded run.
 //
 // Epoch boundaries are configurable via ProfilerOptions: every N access
-// events, every K drained micro-batches, every T milliseconds — plus forced
-// boundaries at GuardedSink checkpoints and finalize(), which also persist
-// the ring to a sidecar file so epochs survive crashes alongside the
-// checkpoint itself.
+// events and/or every T milliseconds — plus forced boundaries at
+// GuardedSink checkpoints and finalize(), which also persist the ring to a
+// sidecar file so epochs survive crashes alongside the checkpoint itself.
 //
 // A second partition of the same dependency stream holds phase windows
 // (Section V.A.4), sealed right after the dependency that fills a fixed

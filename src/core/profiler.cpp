@@ -28,8 +28,7 @@ Profiler::Profiler(ProfilerOptions options)
       tree_(options.max_threads, &memory_, options.sparse_region_matrices),
       perf_(options.perf
                 ? std::make_unique<telemetry::PerfCounters>(
-                      telemetry::PerfCountersOptions{
-                          options.max_threads, options.perf_open_fail_from},
+                      telemetry::PerfCountersOptions{options.max_threads},
                       &memory_)
                 : nullptr),
       recorder_(FlightRecorderOptions{options.max_threads,

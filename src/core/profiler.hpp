@@ -88,12 +88,10 @@ struct ProfilerOptions {
   /// per-thread perf_event_open counter group, read at loop and epoch
   /// boundaries so regions and epochs carry cycles/instructions/LLC-miss/
   /// HITM deltas next to their comm-matrix deltas. Degrades gracefully
-  /// (telemetry::PerfCounters) when perf is unavailable; never affects the
-  /// matrices themselves.
+  /// (telemetry::PerfCounters) when perf is unavailable — or when the
+  /// `perf-open-fail:N` clause of $COMMSCOPE_FAULT, read as the engine is
+  /// built, refuses its opens; never affects the matrices themselves.
   bool perf = false;
-  /// Forwarded to PerfCountersOptions::open_fail_from (fault injection);
-  /// 0 defers to the `perf-open-fail:N` clause of $COMMSCOPE_FAULT.
-  std::uint32_t perf_open_fail_from = 0;
 };
 
 /// Upper bound on ProfilerOptions::batch_size (the per-thread ring is

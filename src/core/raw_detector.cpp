@@ -60,16 +60,13 @@ AsymmetricDetector::DrainResult AsymmetricDetector::drain_batch(
   DrainResult result{};
   if (n == 0) return result;
   assert(n <= kMaxDrainBlock);
-  // One slot id indexes both signatures: they are constructed with the same
-  // slot count and reduce the same murmur mix (slots_of relies on this too).
-  assert(read_sig_.slots() == write_sig_.slots());
 
   if (tid < 0 || tid >= read_sig_.max_threads()) [[unlikely]] {
     // Out-of-contract tids carry per-signature rejection/overflow accounting
     // the fast path's precomputed probe sets cannot reproduce; take the
     // per-event path verbatim.
     for (std::uint32_t i = 0; i < n; ++i) {
-      const Slots s = slots_of(addrs[i]);
+      const std::size_t s = slot_of(addrs[i]);
       if ((meta[i] & kMetaWriteBit) != 0) {
         ++result.writes;
         on_write_at(s, tid);
@@ -124,7 +121,7 @@ AsymmetricDetector::DrainResult AsymmetricDetector::drain_batch(
   std::memset(flags, 0, n);
 
   for (std::uint32_t i = 0; i < n; ++i) {
-    const std::size_t s = read_sig_.slot_from_hash(hashes[i]);
+    const std::size_t s = slot_from_hash(hashes[i]);
     std::uint32_t t = static_cast<std::uint32_t>(s) & tmask;
     std::uint16_t e = tab[t];
     // Collision skip: occupied by a DIFFERENT slot. At <= 12.5% load factor

@@ -24,6 +24,11 @@
 // The detector is executed inline by the accessing application threads
 // themselves ("we use the same threads in the program ... without any need
 // to any extra threads"); all shared state is lock-free.
+//
+// Both signatures are n-slot tables (Figure 3) and the detector is the only
+// code that maps an address to a slot: one MurmurHash mix per access,
+// reduced to one slot id that indexes the read signature's bloom and the
+// write signature's cell alike.
 #pragma once
 
 #include <concepts>
@@ -33,6 +38,7 @@
 #include "sigmem/exact_signature.hpp"
 #include "sigmem/read_signature.hpp"
 #include "sigmem/write_signature.hpp"
+#include "support/hash.hpp"
 #include "support/memtrack.hpp"
 
 namespace commscope::core {
@@ -46,58 +52,55 @@ concept RawBackend = requires(B& b, std::uintptr_t addr, int tid) {
   b.on_write(addr, tid);
 };
 
-/// Algorithm 1 over the two signature memories of Figure 3.
+/// Algorithm 1 over the two signature memories of Figure 3. The detector
+/// owns the address-to-slot map: one murmur mix per address, reduced to the
+/// slot id that indexes both signatures.
 class AsymmetricDetector {
  public:
   AsymmetricDetector(std::size_t slots, int max_threads, double fp_rate,
                      support::MemoryTracker* tracker = nullptr)
-      : read_sig_(slots, max_threads, fp_rate, tracker),
+      : slots_(slots),
+        slot_mask_((slots & (slots - 1)) == 0 ? slots - 1 : 0),
+        read_sig_(slots, max_threads, fp_rate, tracker),
         write_sig_(slots, tracker) {}
 
-  /// Precomputed slot pair for one address: slots_of() hashes once, then
-  /// on_read_at()/on_write_at() probe. Identical algorithm, same slots.
-  struct Slots {
-    std::size_t read;
-    std::size_t write;
-  };
-
-  [[nodiscard]] Slots slots_of(std::uintptr_t addr) const noexcept {
-    // Both signatures reduce the same murmur mix, so hash once, reduce twice
-    // — identical slot ids to calling each signature's slot_of directly.
-    const std::uint64_t h =
-        support::murmur_mix64(static_cast<std::uint64_t>(addr));
-    return Slots{read_sig_.slot_from_hash(h), write_sig_.slot_from_hash(h)};
+  /// Maps a memory address to its slot in both signatures. When the slot
+  /// count is a power of two (every default and every degradation rung —
+  /// halving preserves it), `h & (slots-1) == h % slots`, so the mask is the
+  /// identical mapping minus the hardware divide; other counts (`--slots`)
+  /// take the modulo.
+  [[nodiscard]] std::size_t slot_of(std::uintptr_t addr) const noexcept {
+    return slot_from_hash(
+        support::murmur_mix64(static_cast<std::uint64_t>(addr)));
   }
 
   std::optional<int> on_read(std::uintptr_t addr, int tid) noexcept {
-    return on_read_at(slots_of(addr), tid);
+    return on_read_at(slot_of(addr), tid);
   }
 
   /// on_read with the hashing already done; bit-identical to on_read.
-  std::optional<int> on_read_at(Slots s, int tid) noexcept {
-    const std::size_t wslot = s.write;
-    const std::optional<int> last_writer = write_sig_.last_writer(wslot);
-    const std::size_t rslot = s.read;
+  std::optional<int> on_read_at(std::size_t slot, int tid) noexcept {
+    const std::optional<int> last_writer = write_sig_.last_writer(slot);
     if (last_writer.has_value()) {
       // "a in write signature": the reader joins the read signature; the
       // returned prior-membership bit is the "a not in read signature" test.
-      const bool already_reader = read_sig_.insert(rslot, tid);
+      const bool already_reader = read_sig_.insert(slot, tid);
       if (!already_reader && *last_writer != tid) return last_writer;
       return std::nullopt;
     }
     // "a not in write signature": insert a to read signature.
-    read_sig_.insert(rslot, tid);
+    read_sig_.insert(slot, tid);
     return std::nullopt;
   }
 
   void on_write(std::uintptr_t addr, int tid) noexcept {
-    on_write_at(slots_of(addr), tid);
+    on_write_at(slot_of(addr), tid);
   }
 
   /// on_write with the hashing already done; bit-identical to on_write.
-  void on_write_at(Slots s, int tid) noexcept {
-    read_sig_.clear_slot(s.read);
-    write_sig_.record(s.write, tid);
+  void on_write_at(std::size_t slot, int tid) noexcept {
+    read_sig_.clear_slot(slot);
+    write_sig_.record(slot, tid);
   }
 
   /// Largest block drain_batch accepts per call (the profiler's micro-batch
@@ -136,8 +139,7 @@ class AsymmetricDetector {
   ///
   /// Distinct slots touch disjoint signature state, so cross-slot apply
   /// order is unobservable; per-slot order is preserved, which is what the
-  /// bit-identity contract needs. Both signatures are built with the same
-  /// slot count, so one slot id indexes both (asserted).
+  /// bit-identity contract needs. One slot id indexes both signatures.
   ///
   /// `meta[i] & kMetaWriteBit` marks a write. `dep_evt`/`dep_producer` must
   /// hold n entries. Requires n <= kMaxDrainBlock and 0 <= tid < max_threads
@@ -156,18 +158,19 @@ class AsymmetricDetector {
   [[nodiscard]] sigmem::ExactSignature::ReadObservation on_read_classified(
       std::uintptr_t addr, int tid) noexcept {
     sigmem::ExactSignature::ReadObservation obs;
-    const std::size_t rslot = read_sig_.slot_of(addr);
-    obs.rar = read_sig_.any(rslot) && !read_sig_.contains(rslot, tid);
-    obs.producer = on_read(addr, tid);
+    const std::size_t slot = slot_of(addr);
+    obs.rar = read_sig_.any(slot) && !read_sig_.contains(slot, tid);
+    obs.producer = on_read_at(slot, tid);
     return obs;
   }
 
   sigmem::ExactSignature::WriteObservation on_write_classified(
       std::uintptr_t addr, int tid) noexcept {
     sigmem::ExactSignature::WriteObservation obs;
-    obs.had_other_readers = read_sig_.any(read_sig_.slot_of(addr));
-    obs.prev_writer = write_sig_.last_writer(write_sig_.slot_of(addr));
-    on_write(addr, tid);
+    const std::size_t slot = slot_of(addr);
+    obs.had_other_readers = read_sig_.any(slot);
+    obs.prev_writer = write_sig_.last_writer(slot);
+    on_write_at(slot, tid);
     return obs;
   }
 
@@ -183,8 +186,18 @@ class AsymmetricDetector {
   }
 
  private:
+  // Read by every access and written by nothing after construction. The
+  // signatures are line-aligned, so these two sit on a line of their own
+  // that no counter or cell store ever invalidates.
+  static_assert(alignof(sigmem::ReadSignature) >= 64);
+  alignas(64) std::size_t slots_;
+  std::size_t slot_mask_;  // slots_ - 1 when slots_ is a power of two, else 0
   sigmem::ReadSignature read_sig_;
   sigmem::WriteSignature write_sig_;
+
+  [[nodiscard]] std::size_t slot_from_hash(std::uint64_t h) const noexcept {
+    return slot_mask_ != 0 ? (h & slot_mask_) : h % slots_;
+  }
 };
 
 static_assert(RawBackend<AsymmetricDetector>);

@@ -36,8 +36,16 @@ class SamplingSink final : public AccessSink {
   }
   void on_loop_exit(int tid) override { inner_->on_loop_exit(tid); }
 
+  /// Tids outside the 64 sampled lanes (ThreadRegistry::kUnregistered, or
+  /// past the matrix dimension) are forwarded unsampled: they have no lane
+  /// to index, and the inner sink owns the out-of-range contract (the
+  /// Profiler drops and counts them).
   void on_access(int tid, std::uintptr_t addr, std::uint32_t size,
                  AccessKind kind) override {
+    if (static_cast<unsigned>(tid) >= kLanes) [[unlikely]] {
+      inner_->on_access(tid, addr, size, kind);
+      return;
+    }
     Counters& c = counters_[static_cast<std::size_t>(tid)];
     const std::uint32_t cycle = options_.burst_on + options_.burst_off;
     const std::uint32_t pos = c.position;
@@ -94,6 +102,8 @@ class SamplingSink final : public AccessSink {
   }
 
  private:
+  static constexpr unsigned kLanes = 64;  ///< the profilers' thread ceiling
+
   struct alignas(64) Counters {
     std::uint32_t position = 0;
     std::uint64_t forwarded = 0;
@@ -102,7 +112,7 @@ class SamplingSink final : public AccessSink {
 
   AccessSink* inner_;
   SamplingOptions options_;
-  Counters counters_[64] = {};
+  Counters counters_[kLanes] = {};
 };
 
 }  // namespace commscope::instrument

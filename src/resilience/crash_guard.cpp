@@ -23,13 +23,21 @@ constexpr int kSignals[3] = {SIGSEGV, SIGABRT, SIGINT};
 // to run the instance() accessor (no construction inside the handler).
 CrashGuard* g_guard = nullptr;
 
-void write_all(int fd, const char* data, std::size_t len) noexcept {
+/// True when all `len` bytes were written.
+bool write_all(int fd, const char* data, std::size_t len) noexcept {
   while (len > 0) {
     const ssize_t n = ::write(fd, data, len);
-    if (n <= 0) return;  // best effort; nothing more we can do in a handler
+    if (n <= 0) return false;  // best effort; nothing more to do in a handler
     data += n;
     len -= static_cast<std::size_t>(n);
   }
+  return true;
+}
+
+/// Writes a string literal to stderr.
+template <std::size_t N>
+void say(const char (&msg)[N]) noexcept {
+  write_all(2, msg, N - 1);
 }
 
 }  // namespace
@@ -39,23 +47,31 @@ CrashGuard& CrashGuard::instance() {
   return guard;
 }
 
-void CrashGuard::dump_view_to(const char* path, View v) noexcept {
-  if (v.data == nullptr || v.len == 0 || path[0] == '\0') return;
+bool CrashGuard::dump_view_to(const char* path, View v) noexcept {
+  if (v.data == nullptr || v.len == 0 || path[0] == '\0') return false;
   const int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return;
-  write_all(fd, v.data, v.len);
-  ::close(fd);
+  if (fd < 0) return false;
+  const bool written = write_all(fd, v.data, v.len);
+  return ::close(fd) == 0 && written;
+}
+
+bool CrashGuard::has_dump_path() const noexcept {
+  return armed() && g_dump_path[0] != '\0';
+}
+
+bool CrashGuard::dump_current() noexcept {
+  const View* v = current_.load(std::memory_order_acquire);
+  return v != nullptr && dump_view_to(g_dump_path, *v);
 }
 
 void CrashGuard::handler(int sig) {
   // A crash inside the handler (or a second signal) must not recurse.
   if (g_in_handler.exchange(true)) _exit(128 + sig);
-  if (g_guard != nullptr) {
-    const View* v = g_guard->current_.load(std::memory_order_acquire);
-    if (v != nullptr) dump_view_to(g_dump_path, *v);
+  if (g_guard != nullptr && g_guard->dump_current()) {
+    say("commscope: fatal signal; emergency snapshot written\n");
+  } else {
+    say("commscope: fatal signal; no snapshot saved\n");
   }
-  const char msg[] = "commscope: fatal signal; emergency snapshot written\n";
-  write_all(2, msg, sizeof msg - 1);
   _exit(128 + sig);
 }
 
@@ -107,10 +123,11 @@ void CrashGuard::start_watchdog(double seconds) {
           return watchdog_cancel_ || watchdog_generation_ != generation;
         });
     if (cancelled) return;
-    const View* v = current_.load(std::memory_order_acquire);
-    if (v != nullptr) dump_view_to(g_dump_path, *v);
-    const char msg[] = "commscope: watchdog timeout; snapshot written\n";
-    write_all(2, msg, sizeof msg - 1);
+    if (dump_current()) {
+      say("commscope: watchdog timeout; snapshot written\n");
+    } else {
+      say("commscope: watchdog timeout; no snapshot saved\n");
+    }
     _exit(124);
   });
 }

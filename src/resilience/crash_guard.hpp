@@ -12,6 +12,11 @@
 // it writes the last published snapshot and exits 124 (the `timeout(1)`
 // convention), so even a deadlocked run leaves a resumable artifact.
 //
+// Armed with an empty path (a --timeout run without --checkpoint), the
+// guard still exits 124 / 128+sig, but has nowhere to dump: publishers skip
+// serializing (has_dump_path()), and the exit message says no snapshot was
+// saved instead of claiming one.
+//
 // One instance per process (signal handlers are process-global state).
 #pragma once
 
@@ -44,6 +49,10 @@ class CrashGuard {
     return armed_.load(std::memory_order_acquire);
   }
 
+  /// Armed with a non-empty dump path: a published snapshot can be saved.
+  /// Publishers check this before serializing one.
+  [[nodiscard]] bool has_dump_path() const noexcept;
+
   /// Publishes a fully serialized snapshot for the handler/watchdog to dump.
   /// Double-buffered: the handler reads whichever buffer was last made
   /// current via an atomic pointer, so a publish racing a crash yields the
@@ -68,7 +77,11 @@ class CrashGuard {
   };
 
   static void handler(int sig);
-  static void dump_view_to(const char* path, View v) noexcept;
+  /// Writes `v` to `path`; true only when every byte reached the file.
+  static bool dump_view_to(const char* path, View v) noexcept;
+  /// Dumps the last published view to the dump path; true only when a
+  /// snapshot was saved. Async-signal-safe.
+  bool dump_current() noexcept;
 
   std::atomic<bool> armed_{false};
 

@@ -103,7 +103,7 @@ GuardedSink::GuardedSink(core::Profiler& profiler, ResourceGuard* guard,
     observer_installed_ = true;
     guard_->prime();
   }
-  if (crash_ != nullptr && crash_->armed()) {
+  if (crash_ != nullptr && crash_->has_dump_path()) {
     // A crash before the first periodic checkpoint must still dump a
     // loadable (if empty) snapshot.
     CheckpointMeta meta;
@@ -203,6 +203,10 @@ void GuardedSink::maintenance(std::uint64_t index) {
 void GuardedSink::write_checkpoint(std::uint64_t index,
                                    const std::string& state,
                                    const std::string& reason) {
+  // Serializing walks the whole region tree; skip it when the snapshot has
+  // nowhere to go (no checkpoint file, and a crash guard with no dump path).
+  const bool publish = crash_ != nullptr && crash_->has_dump_path();
+  if (!publish && options_.checkpoint_path.empty()) return;
   telemetry::ScopedSpan span("checkpoint", telemetry::SpanCat::kCheckpoint);
   CheckpointMeta meta;
   meta.events = index;
@@ -212,7 +216,7 @@ void GuardedSink::write_checkpoint(std::uint64_t index,
   // per-thread counters are stable.
   std::string snapshot =
       serialize_checkpoint(*profiler_, meta, profiler_->stats());
-  if (crash_ != nullptr && crash_->armed()) crash_->publish(snapshot);
+  if (publish) crash_->publish(snapshot);
   if (options_.checkpoint_path.empty()) return;
   // Write faults apply to the file copy only — the published emergency
   // snapshot stays intact, mirroring a torn disk write.
@@ -357,11 +361,8 @@ void GuardedSink::finalize() {
   telemetry::gauge("sink.suppressed").set(suppressed());
   telemetry::gauge("sink.reentrant_drops").set(reentrant_drops());
   profiler_->finalize();
-  if (options_.checkpoint_every != 0 || !options_.checkpoint_path.empty() ||
-      (crash_ != nullptr && crash_->armed())) {
-    write_checkpoint(events_.load(std::memory_order_relaxed), "complete",
-                     "final");
-  }
+  write_checkpoint(events_.load(std::memory_order_relaxed), "complete",
+                   "final");
 }
 
 inline void GuardedSink::safepoint_enter(Slot& s) noexcept {

@@ -57,11 +57,13 @@ class GuardedSink final : public instrument::AccessSink {
   };
 
   /// `guard`, `injector` and `crash` are optional (may be null) and, like
-  /// `profiler`, must outlive the sink. When `crash` is armed, an initial
-  /// (empty) snapshot is published immediately so even a crash before the
-  /// first periodic checkpoint dumps something loadable. In coarse mode with
-  /// a memory budget, the sink installs the guard as the MemoryTracker's
-  /// allocation observer (and removes it on destruction).
+  /// `profiler`, must outlive the sink. When `crash` is armed with a dump
+  /// path, an initial (empty) snapshot is published immediately so even a
+  /// crash before the first periodic checkpoint dumps something loadable.
+  /// Snapshots are serialized only when a checkpoint path or a dump path
+  /// can take them. In coarse mode with a memory budget, the sink installs
+  /// the guard as the MemoryTracker's allocation observer (and removes it on
+  /// destruction).
   GuardedSink(core::Profiler& profiler, ResourceGuard* guard, Options options,
               FaultInjector* injector = nullptr, CrashGuard* crash = nullptr);
   ~GuardedSink() override;
@@ -79,8 +81,8 @@ class GuardedSink final : public instrument::AccessSink {
   /// admitted, so a drain is pure delivery, not a new event.
   void on_drain(int tid) override;
 
-  /// Best-effort flush: serialize the current profiler state and publish it
-  /// to the CrashGuard (and checkpoint file, when configured). Runs under
+  /// Best-effort flush: serialize the current profiler state and hand it to
+  /// the CrashGuard's dump path and the checkpoint file, where set. Runs under
   /// the maintenance lock and, when the safepoint protocol is active, under
   /// a stopped world. Registered as a ThreadRegistry flush hook so buffered
   /// state survives exit() and fork() mid-phase.

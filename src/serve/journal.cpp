@@ -254,7 +254,7 @@ bool Journal::recover(std::string& snapshot, std::vector<WalRecord>& tail,
     // charged while the replay holds it, discharged when it goes away.
     if (options_.tracker != nullptr) options_.tracker->add(image.size());
     stats_.wal_bytes_scanned = image.size();
-    WalReader reader(image, options_.max_payload);
+    WalReader reader(image, kMaxWalPayload);
     while (auto r = reader.next()) {
       tail.push_back(std::move(*r));
       if (r->lsn > lsn_) lsn_ = r->lsn;

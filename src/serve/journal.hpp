@@ -58,6 +58,7 @@
 #include <vector>
 
 #include "resilience/fault_injector.hpp"
+#include "serve/frame.hpp"
 #include "support/memtrack.hpp"
 
 namespace commscope::serve {
@@ -77,7 +78,7 @@ enum class WalRecordType : std::uint8_t {
 inline constexpr std::uint32_t kWalMagic = 0x314a5343u;  // "CSJ1" LE
 inline constexpr std::size_t kWalHeaderBytes = 24;
 /// Per-record payload ceiling: one epochs frame plus its session prefix.
-inline constexpr std::uint32_t kMaxWalPayload = (16u << 20) + 64;
+inline constexpr std::uint32_t kMaxWalPayload = kMaxFramePayload + 64;
 /// Recovery slurp ceiling — a WAL the compactor never truncated must still
 /// not be able to buffer without bound.
 inline constexpr std::size_t kMaxWalBytes = std::size_t{1} << 30;
@@ -159,7 +160,6 @@ struct JournalOptions {
   /// rung.
   std::uint32_t fsync_every = 256;
   std::uint64_t compact_every = 4096; ///< appends per compaction; 0 = manual
-  std::uint32_t max_payload = kMaxWalPayload;
   resilience::FaultInjector* injector = nullptr;  ///< wal-* fault points
   support::MemoryTracker* tracker = nullptr;      ///< recovery image charge
 };

@@ -93,8 +93,6 @@ bool ServeServer::open_journal() {
   jopts.policy = options_.fsync_policy;
   jopts.fsync_every = options_.fsync_every;
   jopts.compact_every = options_.compact_every;
-  // One epochs frame plus its "session <id>\n" prefix.
-  jopts.max_payload = options_.frame_payload_cap + 64;
   jopts.injector = options_.injector;
   jopts.tracker = &tracker_;
   journal_ = std::make_unique<Journal>(jopts);
@@ -682,7 +680,7 @@ void ServeServer::accept_clients() {
     idle_since_ms_ = 0;
     Conn c;
     c.fd = fd;
-    c.decoder = FrameDecoder(options_.frame_payload_cap);
+    c.decoder = FrameDecoder(kMaxFramePayload);
     c.last_activity_ms = now_ms();
     ++stats_.connections;
     recharge_conn(c);

@@ -53,7 +53,6 @@ struct ServeOptions {
   std::uint32_t max_sessions = 64;     ///< live-connection ceiling (shed past)
   std::uint32_t max_threads = 64;      ///< per-client matrix dimension cap
   std::uint32_t merged_ring = 512;     ///< merged-timeline ring capacity
-  std::uint32_t frame_payload_cap = kMaxFramePayload;
   std::uint32_t poll_ms = 50;          ///< event-loop tick
   /// Exit once this many sessions have reached a terminal state (sealed,
   /// reaped or dropped; 0 = run until stop()). The test/CI lifecycle hook —

@@ -30,7 +30,6 @@ ReadSignature::ReadSignature(std::size_t slots, int max_threads, double fp_rate,
       slab_(slab_bytes(slots, max_threads, bloom_params_)),
       words_(slab_.as<support::BloomWords::Word>()),
       tracker_(tracker) {
-  slot_mask_ = (slots_ & (slots_ - 1)) == 0 ? slots_ - 1 : 0;
   probe_stride_ =
       std::min(bloom_params_.hashes, support::BloomWords::kMaxProbes);
   probes_.resize(static_cast<std::size_t>(max_threads_) * probe_stride_);
@@ -70,10 +69,6 @@ bool ReadSignature::contains(std::size_t slot, int tid) const noexcept {
   }
   const ProbeSet ps = probes_of(tid);
   return filter(slot).contains_probes(ps.probes, ps.count);
-}
-
-void ReadSignature::clear() noexcept {
-  for (std::size_t i = 0; i < slots_; ++i) clear_slot(i);
 }
 
 }  // namespace commscope::sigmem

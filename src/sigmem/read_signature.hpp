@@ -16,6 +16,10 @@
 // footprint is the input-independent constant Figure 5 demonstrates. A write
 // to a slot clears its filter in place ("clear correspondent bloom filter in
 // read signature"); nothing is ever allocated or freed after construction.
+//
+// The table is indexed by slot id only. The MurmurHash that maps an address
+// to its slot is the detector's (core::AsymmetricDetector::slot_of), which
+// hands the same id to both signatures.
 #pragma once
 
 #include <atomic>
@@ -23,7 +27,6 @@
 #include <vector>
 
 #include "support/bloom.hpp"
-#include "support/hash.hpp"
 #include "support/memtrack.hpp"
 #include "support/slab.hpp"
 
@@ -39,20 +42,6 @@ class ReadSignature {
 
   ReadSignature(const ReadSignature&) = delete;
   ReadSignature& operator=(const ReadSignature&) = delete;
-
-  /// Maps a memory address to its slot index; same mapping as the modulo
-  /// (`h & (slots-1) == h % slots` for power-of-two slot counts), minus the
-  /// per-event hardware divide. See WriteSignature::slot_of.
-  [[nodiscard]] std::size_t slot_of(std::uintptr_t addr) const noexcept {
-    return slot_from_hash(
-        support::murmur_mix64(static_cast<std::uint64_t>(addr)));
-  }
-
-  /// slot_of with the murmur mix already done — callers probing both
-  /// signatures hash the address once and reduce twice.
-  [[nodiscard]] std::size_t slot_from_hash(std::uint64_t h) const noexcept {
-    return slot_mask_ != 0 ? (h & slot_mask_) : h % slots_;
-  }
 
   /// Hints `slot`'s bloom words into cache. The batched drain issues one per
   /// distinct slot of a block before it probes any of them.
@@ -106,9 +95,6 @@ class ReadSignature {
   /// correspondent bloom filter in read signature").
   void clear_slot(std::size_t slot) noexcept { filter(slot).clear(); }
 
-  void clear() noexcept;
-
-  [[nodiscard]] std::size_t slots() const noexcept { return slots_; }
   [[nodiscard]] int max_threads() const noexcept { return max_threads_; }
   [[nodiscard]] double fp_rate() const noexcept { return fp_rate_; }
   [[nodiscard]] support::BloomParams bloom_params() const noexcept {
@@ -146,14 +132,13 @@ class ReadSignature {
   std::uint32_t probe_stride_;
   std::vector<support::BloomWords::Probe> probes_;
   std::vector<std::uint32_t> probe_counts_;
-  std::size_t slot_mask_;  // slots - 1 when slots is a power of two, else 0
   support::Slab slab_;
   support::BloomWords::Word* words_;  // slab_ as slots_ * slot_words_ words
   // Written by every thread on slow paths (a bad tid), while the fields
   // above are read by every insert and contains: a line of their own keeps
-  // a rejection from invalidating max_threads_ or the masks in every other
-  // thread's cache. It also line-aligns the signature wherever it is
-  // embedded (Profiler::backend_).
+  // a rejection from invalidating max_threads_ or the probe sets in every
+  // other thread's cache. It also line-aligns the signature wherever it is
+  // embedded (AsymmetricDetector, Profiler::backend_).
   alignas(64) std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> overflow_inserts_{0};
   support::MemoryTracker* tracker_;

@@ -18,7 +18,6 @@ std::size_t slab_bytes(std::size_t slots) {
 WriteSignature::WriteSignature(std::size_t slots,
                                support::MemoryTracker* tracker)
     : slots_(slots),
-      slot_mask_((slots & (slots - 1)) == 0 ? slots - 1 : 0),
       slab_(slab_bytes(slots)),
       cells_(slab_.as<std::atomic<std::uint32_t>>()),
       tracker_(tracker) {
@@ -27,12 +26,6 @@ WriteSignature::WriteSignature(std::size_t slots,
 
 WriteSignature::~WriteSignature() {
   if (tracker_ != nullptr) tracker_->sub(byte_size());
-}
-
-void WriteSignature::clear() noexcept {
-  for (std::size_t i = 0; i < slots_; ++i) {
-    cells_[i].store(0, std::memory_order_release);
-  }
 }
 
 std::size_t WriteSignature::occupancy() const noexcept {

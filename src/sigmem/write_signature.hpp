@@ -7,10 +7,11 @@
 //
 // Each slot is one lock-free 32-bit atomic holding `tid + 1` (0 = empty), so
 // a slot is simultaneously an occupancy flag and the last-writer id —
-// matching the 4-bytes-per-slot term of Eq. 2. Addresses map to slots with
-// MurmurHash; distinct addresses may collide, which is the signature's
-// designed-in approximation (Section IV.D.2 discusses the accuracy/memory
-// trade-off the slot count controls).
+// matching the 4-bytes-per-slot term of Eq. 2. The table is indexed by slot
+// id only: core::AsymmetricDetector maps addresses to slots with MurmurHash
+// and hands the same id to the read signature. Distinct addresses may
+// collide, which is the signature's designed-in approximation (Section
+// IV.D.2 discusses the accuracy/memory trade-off the slot count controls).
 //
 // The n cells are one flat array mapped zero-filled at construction
 // (support::Slab, next to the read signature's) and charged to the tracker
@@ -21,7 +22,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "support/hash.hpp"
 #include "support/memtrack.hpp"
 #include "support/slab.hpp"
 
@@ -37,22 +37,6 @@ class WriteSignature {
 
   WriteSignature(const WriteSignature&) = delete;
   WriteSignature& operator=(const WriteSignature&) = delete;
-
-  /// Maps a memory address to its slot index. When the slot count is a power
-  /// of two (every default and every degradation rung — halving preserves
-  /// it), `h & (slots-1) == h % slots`, so the mask path is the identical
-  /// mapping minus the hardware divide the hot loop would otherwise pay
-  /// twice per event.
-  [[nodiscard]] std::size_t slot_of(std::uintptr_t addr) const noexcept {
-    return slot_from_hash(
-        support::murmur_mix64(static_cast<std::uint64_t>(addr)));
-  }
-
-  /// slot_of with the murmur mix already done — callers probing both
-  /// signatures hash the address once and reduce twice.
-  [[nodiscard]] std::size_t slot_from_hash(std::uint64_t h) const noexcept {
-    return slot_mask_ != 0 ? (h & slot_mask_) : h % slots_;
-  }
 
   /// Records thread `tid` as the last writer of `slot`. Contract: tid must
   /// be a valid dense id (>= 0). A negative id — an unregistered thread, a
@@ -83,9 +67,6 @@ class WriteSignature {
     return cell(slot).load(std::memory_order_acquire);
   }
 
-  void clear() noexcept;
-
-  [[nodiscard]] std::size_t slots() const noexcept { return slots_; }
   [[nodiscard]] std::size_t byte_size() const noexcept {
     return slots_ * sizeof(std::uint32_t);
   }
@@ -99,7 +80,6 @@ class WriteSignature {
 
  private:
   std::size_t slots_;
-  std::size_t slot_mask_;  // slots - 1 when slots is a power of two, else 0
   support::Slab slab_;
   std::atomic<std::uint32_t>* cells_;  // slab_ as slots_ cells
   support::MemoryTracker* tracker_;

@@ -1,5 +1,5 @@
-// Concurrent bloom filter, auto-sized from capacity and target false-positive
-// rate per the paper's Eq. 2 sizing law.
+// Bloom filter sizing and probe operations, per the paper's Eq. 2 sizing
+// law.
 //
 // The read signature's second level is "a bloom filter [used] to save the
 // list of threads which accessed the same memory address" (Section IV.D.2).
@@ -14,14 +14,20 @@
 // evaluation ("a linear combination of hash functions ... to automatically
 // adjust the number of hash functions according to the false positive rate
 // required by the user").
+//
+// The filter owns no storage: BloomWords runs the lock-free operations over
+// m/64 atomic words that live elsewhere — in the program, one slot's stretch
+// of the read signature's slab. All mutation is fetch_or / store on whole
+// words (Section IV.D.3: "C++11 lock-free primitives for implementing
+// signature memory arrays"), so concurrent inserts never lose bits.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 
-#include "support/bitset.hpp"
 #include "support/hash.hpp"
 
 namespace commscope::support {
@@ -50,10 +56,8 @@ struct BloomParams {
 }
 
 /// A bloom filter's operations over its backing words: `params.bits / 64`
-/// atomic words owned elsewhere. BloomFilter runs them on its own bitset and
-/// the read signature on one slot's stretch of its slab, so both layouts
-/// probe with one implementation. A BloomWords is a reference: copying it
-/// copies the pointer, not the bits.
+/// atomic words owned elsewhere (the read signature's slab). A BloomWords is
+/// a reference: copying it copies the pointer, not the bits.
 class BloomWords {
  public:
   using Word = std::atomic<std::uint64_t>;
@@ -62,7 +66,10 @@ class BloomWords {
       : words_(words), params_(params) {}
 
   /// Inserts `key`; returns true if the key was (apparently) already present,
-  /// i.e. every probed bit was already set.
+  /// i.e. every probed bit was already set. Per-key insert/contains hash on
+  /// every call; they serve keys outside a precomputed probe set (the read
+  /// signature's out-of-range tids) and are the reference insert_probes /
+  /// contains_probes are checked against.
   bool insert(std::uint64_t key) const noexcept {
     const HashPair hp = split_hash(murmur_mix64(key));
     bool all_set = true;
@@ -192,8 +199,9 @@ class BloomWords {
   /// Zeroes every word, skipping words already zero: the end state of a
   /// plain store loop without dirtying the cache line of an empty filter,
   /// which is what most clears in a write-dominated region find. Not atomic
-  /// as a whole: a concurrent insert may land before or after the store, and
-  /// both serializations are legal (see AtomicBitset).
+  /// as a whole: a reader bit set concurrently with a writer's clear may
+  /// land before or after the store, and the profiler tolerates both
+  /// serializations, exactly as the paper's shared-signature design does.
   void clear() const noexcept {
     for (std::size_t w = 0; w < params_.bits / 64; ++w) {
       if (words_[w].load(std::memory_order_relaxed) != 0) {
@@ -213,50 +221,6 @@ class BloomWords {
  private:
   Word* words_;
   BloomParams params_;
-};
-
-/// Thread-safe bloom filter over 64-bit keys, owning its bits.
-class BloomFilter {
- public:
-  BloomFilter() = default;
-
-  BloomFilter(std::size_t capacity, double fp_rate)
-      : params_(bloom_params(capacity, fp_rate)), bits_(params_.bits) {}
-
-  explicit BloomFilter(BloomParams params) : params_(params), bits_(params.bits) {}
-
-  /// Inserts `key`; returns true if the key was (apparently) already present.
-  bool insert(std::uint64_t key) noexcept { return words().insert(key); }
-
-  [[nodiscard]] bool contains(std::uint64_t key) const noexcept {
-    return words().contains(key);
-  }
-
-  void clear() noexcept { words().clear(); }
-
-  /// The word-level operations over this filter's bits (precomputed probe
-  /// sets, gathered words).
-  [[nodiscard]] BloomWords words() const noexcept {
-    return BloomWords(bits_.words(), params_);
-  }
-
-  [[nodiscard]] std::size_t bit_count() const noexcept { return params_.bits; }
-  [[nodiscard]] std::uint32_t hash_count() const noexcept {
-    return params_.hashes;
-  }
-  [[nodiscard]] std::size_t byte_size() const noexcept {
-    return bits_.byte_size();
-  }
-  [[nodiscard]] std::size_t popcount() const noexcept { return bits_.count(); }
-  [[nodiscard]] bool empty() const noexcept { return !words().any(); }
-
-  /// Measured false-positive probability given the current fill level:
-  /// (popcount/m)^k. Used by tests to validate the sizing law.
-  [[nodiscard]] double estimated_fpr() const noexcept;
-
- private:
-  BloomParams params_{};
-  AtomicBitset bits_;
 };
 
 }  // namespace commscope::support

@@ -92,3 +92,20 @@ TEST(IpmProfiler, ConcurrentAppendsAllRecorded) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(ipm.record_count(), 20000u);
 }
+
+TEST(IpmProfiler, IgnoresOutOfRangeTids) {
+  // -1 is ThreadRegistry::kUnregistered; 4 is the thread count. Neither has
+  // a log: both are ignored, and the replay sees only the valid pair.
+  cb::IpmProfiler ipm(4);
+  ipm.on_access(0, 0x6000, 8, ci::AccessKind::kWrite);
+  for (const int tid : {-1, 4}) {
+    ipm.on_access(tid, 0x6000, 8, ci::AccessKind::kWrite);
+    ipm.on_access(tid, 0x6000, 8, ci::AccessKind::kRead);
+  }
+  ipm.on_access(1, 0x6000, 8, ci::AccessKind::kRead);
+  EXPECT_EQ(ipm.record_count(), 2u);
+  ipm.finalize();
+  const auto m = ipm.communication_matrix();
+  EXPECT_EQ(m.at(0, 1), 8u);
+  EXPECT_EQ(m.total(), 8u);
+}

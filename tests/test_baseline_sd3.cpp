@@ -133,3 +133,23 @@ TEST(Sd3Profiler, NegativeStrideCompresses) {
   sd3.finalize();
   EXPECT_EQ(sd3.entry_count(), 1u);
 }
+
+TEST(Sd3Profiler, IgnoresOutOfRangeTids) {
+  // -1 is ThreadRegistry::kUnregistered; 4 is the thread count. Neither has
+  // per-thread state: every event for them is ignored.
+  cb::Sd3Profiler sd3(4);
+  const ci::LoopId l = loop_id("outofrange");
+  for (const int tid : {-1, 4}) {
+    sd3.on_thread_begin(tid);
+    sd3.on_loop_enter(tid, l);
+    for (int i = 0; i < 10; ++i) {
+      sd3.on_access(tid, 0x7000 + static_cast<std::uintptr_t>(i) * 8, 8,
+                    ci::AccessKind::kWrite);
+    }
+    sd3.on_loop_exit(tid);
+  }
+  sd3.finalize();
+  EXPECT_EQ(sd3.access_count(), 0u);
+  EXPECT_EQ(sd3.entry_count(), 0u);
+  EXPECT_EQ(sd3.communication_matrix().total(), 0u);
+}

@@ -86,3 +86,24 @@ TEST(ShadowProfiler, RejectsBadThreadCounts) {
   EXPECT_THROW(cb::ShadowProfiler(0), std::invalid_argument);
   EXPECT_THROW(cb::ShadowProfiler(65), std::invalid_argument);
 }
+
+TEST(ShadowProfiler, IgnoresOutOfRangeTids) {
+  // -1 is ThreadRegistry::kUnregistered; 4 is the thread count. Neither has
+  // a reader bit or a matrix row: their reads and writes are ignored, so
+  // they neither record a dependency nor displace the last valid writer.
+  cb::ShadowProfiler shadow(4);
+  for (const int tid : {-1, 4}) {
+    shadow.on_access(tid, 0xB000, 8, ci::AccessKind::kWrite);
+    shadow.on_access(1, 0xB000, 8, ci::AccessKind::kRead);
+  }
+  EXPECT_EQ(shadow.pages_touched(), 1u);  // only the valid reads touched it
+  EXPECT_EQ(shadow.communication_matrix().total(), 0u);
+  shadow.on_access(0, 0xB000, 8, ci::AccessKind::kWrite);
+  for (const int tid : {-1, 4}) {
+    shadow.on_access(tid, 0xB000, 8, ci::AccessKind::kRead);
+  }
+  shadow.on_access(1, 0xB000, 8, ci::AccessKind::kRead);
+  const auto m = shadow.communication_matrix();
+  EXPECT_EQ(m.at(0, 1), 8u);
+  EXPECT_EQ(m.total(), 8u);
+}

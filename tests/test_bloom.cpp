@@ -3,6 +3,10 @@
 // target across (capacity, fp_rate) operating points, and the word-level
 // operations (BloomWords: probes_for / insert_probes / contains_probes /
 // gathered words) the read signature and the batched ingest drain run on.
+// Every case runs BloomWords over a test-local word array, the same
+// operations the read signature runs over one slot of its slab; the per-key
+// insert/contains are the reference the precomputed-probe path is checked
+// against.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +17,29 @@
 #include "support/bloom.hpp"
 
 namespace cs = commscope::support;
+
+namespace {
+
+/// One filter's words, zero-filled, and the BloomWords view over them.
+struct LocalFilter {
+  explicit LocalFilter(cs::BloomParams params)
+      : words(params.bits / 64), bloom(words.data(), params) {}
+  LocalFilter(std::size_t capacity, double fp_rate)
+      : LocalFilter(cs::bloom_params(capacity, fp_rate)) {}
+
+  [[nodiscard]] std::size_t popcount() const {
+    std::size_t n = 0;
+    for (const cs::BloomWords::Word& w : words) {
+      n += static_cast<std::size_t>(__builtin_popcountll(w.load()));
+    }
+    return n;
+  }
+
+  std::vector<cs::BloomWords::Word> words;
+  cs::BloomWords bloom;
+};
+
+}  // namespace
 
 TEST(BloomParams, MatchesEq2Formula) {
   // m = -t ln(p) / ln^2(2); the paper's reference point t=32, p=0.001
@@ -32,71 +59,61 @@ TEST(BloomParams, DegenerateInputsAreClamped) {
   EXPECT_GE(cs::bloom_params(8, 2.0).hashes, 1u);
 }
 
-TEST(BloomFilter, NoFalseNegatives) {
-  cs::BloomFilter bf(64, 0.01);
-  for (std::uint64_t k = 0; k < 64; ++k) bf.insert(k * 977 + 13);
-  for (std::uint64_t k = 0; k < 64; ++k) EXPECT_TRUE(bf.contains(k * 977 + 13));
+TEST(BloomWords, NoFalseNegatives) {
+  LocalFilter f(64, 0.01);
+  for (std::uint64_t k = 0; k < 64; ++k) f.bloom.insert(k * 977 + 13);
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    EXPECT_TRUE(f.bloom.contains(k * 977 + 13));
+  }
 }
 
-TEST(BloomFilter, EmptyFilterContainsNothing) {
-  cs::BloomFilter bf(32, 0.001);
-  EXPECT_TRUE(bf.empty());
-  for (std::uint64_t k = 0; k < 100; ++k) EXPECT_FALSE(bf.contains(k));
+TEST(BloomWords, EmptyFilterContainsNothing) {
+  LocalFilter f(32, 0.001);
+  EXPECT_FALSE(f.bloom.any());
+  for (std::uint64_t k = 0; k < 100; ++k) EXPECT_FALSE(f.bloom.contains(k));
 }
 
-TEST(BloomFilter, InsertReportsPriorMembership) {
-  cs::BloomFilter bf(32, 0.001);
-  EXPECT_FALSE(bf.insert(7));  // first insertion: not previously present
-  EXPECT_TRUE(bf.insert(7));   // second: already present
+TEST(BloomWords, InsertReportsPriorMembership) {
+  LocalFilter f(32, 0.001);
+  EXPECT_FALSE(f.bloom.insert(7));  // first insertion: not previously present
+  EXPECT_TRUE(f.bloom.insert(7));   // second: already present
 }
 
-TEST(BloomFilter, ClearResets) {
-  cs::BloomFilter bf(32, 0.001);
-  bf.insert(1);
-  bf.insert(2);
-  ASSERT_FALSE(bf.empty());
-  bf.clear();
-  EXPECT_TRUE(bf.empty());
-  EXPECT_FALSE(bf.contains(1));
-  EXPECT_FALSE(bf.contains(2));
-  bf.clear();  // clear skips zero words: idempotent on an empty filter
-  EXPECT_TRUE(bf.empty());
+TEST(BloomWords, ClearResets) {
+  LocalFilter f(32, 0.001);
+  f.bloom.insert(1);
+  f.bloom.insert(2);
+  ASSERT_TRUE(f.bloom.any());
+  f.bloom.clear();
+  EXPECT_FALSE(f.bloom.any());
+  EXPECT_FALSE(f.bloom.contains(1));
+  EXPECT_FALSE(f.bloom.contains(2));
+  f.bloom.clear();  // clear skips zero words: idempotent on an empty filter
+  EXPECT_FALSE(f.bloom.any());
 }
 
 TEST(BloomWords, SlotsOfOneArrayAreIndependentFilters) {
   // The read signature's layout: several filters back to back in one word
   // array. Each BloomWords over its own stretch must behave like a separate
-  // BloomFilter with the same params, and never touch its neighbours.
+  // filter with the same params, and never touch its neighbours.
   const cs::BloomParams params = cs::bloom_params(8, 0.001);
   const std::size_t per = params.bits / 64;
   std::vector<cs::BloomWords::Word> slab(3 * per);
   const cs::BloomWords mid(slab.data() + per, params);
-  cs::BloomFilter ref(params);
+  LocalFilter ref(params);
   for (std::uint64_t key = 0; key < 8; key += 2) {
-    ASSERT_EQ(mid.insert(key), ref.insert(key));
+    ASSERT_EQ(mid.insert(key), ref.bloom.insert(key));
   }
   for (std::uint64_t key = 0; key < 8; ++key) {
-    EXPECT_EQ(mid.contains(key), ref.contains(key)) << "key " << key;
+    EXPECT_EQ(mid.contains(key), ref.bloom.contains(key)) << "key " << key;
   }
   for (std::size_t w = 0; w < per; ++w) {
+    EXPECT_EQ(slab[per + w].load(), ref.words[w].load()) << "word " << w;
     EXPECT_EQ(slab[w].load(), 0u);
     EXPECT_EQ(slab[2 * per + w].load(), 0u);
   }
   mid.clear();
   EXPECT_FALSE(mid.any());
-}
-
-TEST(BloomFilter, ByteSizeMatchesParams) {
-  cs::BloomFilter bf(32, 0.001);
-  EXPECT_EQ(bf.byte_size(), bf.bit_count() / 8);
-}
-
-TEST(BloomFilter, EstimatedFprGrowsWithFill) {
-  cs::BloomFilter bf(16, 0.01);
-  const double before = bf.estimated_fpr();
-  for (std::uint64_t k = 0; k < 16; ++k) bf.insert(k);
-  EXPECT_LT(before, bf.estimated_fpr());
-  EXPECT_LE(bf.estimated_fpr(), 1.0);
 }
 
 // --- word-level probe paths -------------------------------------------------
@@ -135,17 +152,19 @@ TEST(BloomProbes, InsertProbesMatchesPerKeyInsertExactly) {
   // through the precomputed-probe path; state and return values must agree
   // at every step (this is the bit-identity the signature fast path assumes).
   const cs::BloomParams params = cs::bloom_params(16, 0.001);
-  cs::BloomFilter a(params);
-  cs::BloomFilter b(params);
+  LocalFilter a(params);
+  LocalFilter b(params);
   for (int round = 0; round < 3; ++round) {
     for (std::uint64_t key = 0; key < 16; ++key) {
       cs::BloomWords::Probe probes[cs::BloomWords::kMaxProbes];
       const std::uint32_t n = cs::BloomWords::probes_for(params, key, probes);
-      ASSERT_EQ(a.insert(key), b.words().insert_probes(probes, n))
+      ASSERT_EQ(a.bloom.insert(key), b.bloom.insert_probes(probes, n))
           << "round " << round << " key " << key;
-      ASSERT_EQ(a.popcount(), b.popcount());
-      ASSERT_TRUE(b.words().contains_probes(probes, n));
-      ASSERT_EQ(a.contains(key), b.contains(key));
+      for (std::size_t w = 0; w < a.words.size(); ++w) {
+        ASSERT_EQ(a.words[w].load(), b.words[w].load()) << "word " << w;
+      }
+      ASSERT_TRUE(b.bloom.contains_probes(probes, n));
+      ASSERT_EQ(a.bloom.contains(key), b.bloom.contains(key));
     }
   }
 }
@@ -154,13 +173,13 @@ TEST(BloomProbes, InsertProbesSecondCallTakesLoadSkipPath) {
   // The load-before-RMW skip: a fully-present probe set must still report
   // "already present" and leave the filter unchanged.
   const cs::BloomParams params = cs::bloom_params(32, 0.001);
-  cs::BloomFilter bf(params);
+  LocalFilter f(params);
   cs::BloomWords::Probe probes[cs::BloomWords::kMaxProbes];
   const std::uint32_t n = cs::BloomWords::probes_for(params, 5, probes);
-  EXPECT_FALSE(bf.words().insert_probes(probes, n));
-  const std::size_t pop = bf.popcount();
-  EXPECT_TRUE(bf.words().insert_probes(probes, n));
-  EXPECT_EQ(bf.popcount(), pop);
+  EXPECT_FALSE(f.bloom.insert_probes(probes, n));
+  const std::size_t pop = f.popcount();
+  EXPECT_TRUE(f.bloom.insert_probes(probes, n));
+  EXPECT_EQ(f.popcount(), pop);
 }
 
 TEST(BloomProbes, GatheredWordsJudgeLikeContainsProbes) {
@@ -169,21 +188,21 @@ TEST(BloomProbes, GatheredWordsJudgeLikeContainsProbes) {
   // key is present, and a snapshot taken before an insert must still judge
   // the old state (it is a pure function of the snapshot).
   const cs::BloomParams params = cs::bloom_params(16, 0.001);
-  cs::BloomFilter bf(params);
+  LocalFilter f(params);
   cs::BloomWords::Probe probes[cs::BloomWords::kMaxProbes];
   const std::uint32_t n = cs::BloomWords::probes_for(params, 3, probes);
   std::uint64_t words[cs::BloomWords::kMaxProbes];
-  bf.words().gather_probe_words(probes, n, words);
+  f.bloom.gather_probe_words(probes, n, words);
   EXPECT_FALSE(cs::BloomWords::words_cover(probes, words, n));
   EXPECT_EQ(cs::BloomWords::words_cover(probes, words, n),
-            bf.words().contains_probes(probes, n));
-  bf.insert(3);
+            f.bloom.contains_probes(probes, n));
+  f.bloom.insert(3);
   // Stale snapshot still judges the pre-insert state...
   EXPECT_FALSE(cs::BloomWords::words_cover(probes, words, n));
   // ...and a fresh gather agrees with contains_probes again.
-  bf.words().gather_probe_words(probes, n, words);
+  f.bloom.gather_probe_words(probes, n, words);
   EXPECT_TRUE(cs::BloomWords::words_cover(probes, words, n));
-  EXPECT_TRUE(bf.words().contains_probes(probes, n));
+  EXPECT_TRUE(f.bloom.contains_probes(probes, n));
 }
 
 TEST(BloomProbes, ConcurrentSameFilterInsertsLoseNoKey) {
@@ -191,25 +210,25 @@ TEST(BloomProbes, ConcurrentSameFilterInsertsLoseNoKey) {
   // of the signature drain; run under TSan in CI. No key may be lost, and
   // the final state must equal the union of all probe masks.
   const cs::BloomParams params = cs::bloom_params(64, 0.001);
-  cs::BloomFilter bf(params);
+  LocalFilter f(params);
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&bf, &params, t] {
+    threads.emplace_back([&f, &params, t] {
       cs::BloomWords::Probe probes[cs::BloomWords::kMaxProbes];
       for (int rep = 0; rep < 500; ++rep) {
         for (std::uint64_t key = static_cast<std::uint64_t>(t); key < 64;
              key += kThreads) {
           const std::uint32_t n =
               cs::BloomWords::probes_for(params, key, probes);
-          bf.words().insert_probes(probes, n);
+          f.bloom.insert_probes(probes, n);
         }
       }
     });
   }
   for (auto& th : threads) th.join();
   for (std::uint64_t key = 0; key < 64; ++key) {
-    EXPECT_TRUE(bf.contains(key)) << "lost key " << key;
+    EXPECT_TRUE(f.bloom.contains(key)) << "lost key " << key;
   }
 }
 
@@ -221,14 +240,16 @@ class BloomFprSweep
 
 TEST_P(BloomFprSweep, RealizedFprRespectsTarget) {
   const auto [capacity, target] = GetParam();
-  cs::BloomFilter bf(capacity, target);
+  LocalFilter f(capacity, target);
   for (std::uint64_t k = 0; k < capacity; ++k) {
-    bf.insert(0xabcd0000 + k * 3);
+    f.bloom.insert(0xabcd0000 + k * 3);
   }
   int fp = 0;
   constexpr int kProbes = 20000;
   for (int i = 0; i < kProbes; ++i) {
-    if (bf.contains(0x99990000 + static_cast<std::uint64_t>(i) * 7 + 1)) ++fp;
+    if (f.bloom.contains(0x99990000 + static_cast<std::uint64_t>(i) * 7 + 1)) {
+      ++fp;
+    }
   }
   const double realized = static_cast<double>(fp) / kProbes;
   EXPECT_LE(realized, std::max(4.0 * target, 8e-4))

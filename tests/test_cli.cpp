@@ -220,6 +220,31 @@ TEST(CliResilience, WatchdogTimesOutWithResumableCheckpoint) {
   std::remove(ck.c_str());
 }
 
+TEST(CliResilience, WatchdogWithoutCheckpointClaimsNoSnapshot) {
+  // --timeout alone arms the guard with no dump path: the exit codes stay
+  // 124 and 128+N, but nothing is saved, so nothing may claim a snapshot.
+  const std::string trace = "/tmp/commscope_cli_hang_nock.trace";
+  ASSERT_EQ(run_cli("run radix --threads=4 --save-trace=" + trace).exit_code,
+            0);
+  const RunResult hung =
+      run_cli("replay " + trace + " --timeout=0.5",
+              "COMMSCOPE_FAULT=\"sleep-at-event:20000;sleep-ms:3000\"");
+  EXPECT_EQ(hung.exit_code, 124) << hung.output;
+  EXPECT_NE(hung.output.find("watchdog timeout"), std::string::npos);
+  EXPECT_NE(hung.output.find("no snapshot saved"), std::string::npos);
+  EXPECT_EQ(hung.output.find("snapshot written"), std::string::npos)
+      << hung.output;
+
+  const RunResult killed =
+      run_cli("replay " + trace + " --timeout=100",
+              "COMMSCOPE_FAULT=kill-at-event:50000");
+  EXPECT_EQ(killed.exit_code, 139) << killed.output;  // 128 + SIGSEGV
+  EXPECT_NE(killed.output.find("fatal signal"), std::string::npos);
+  EXPECT_EQ(killed.output.find("snapshot written"), std::string::npos)
+      << killed.output;
+  std::remove(trace.c_str());
+}
+
 TEST(CliResilience, CleanCheckpointedRunResumesAsComplete) {
   const std::string ck = "/tmp/commscope_cli_clean.ck";
   ASSERT_EQ(

@@ -188,21 +188,30 @@ TEST(Differential, BatchedSignatureBitIdenticalAcrossBatchSizes) {
       {101, 2}, {202, 4}, {303, 8}, {404, 4},
   };
   const std::uint32_t batches[] = {1, 2, 7, 64, 256};
-  for (const auto& g : grid) {
-    TraceShape shape;
-    shape.threads = g.threads;
-    const auto ops = make_trace(g.seed, shape);
-    const auto baseline = profile(
-        ops, base_options(cc::Backend::kAsymmetricSignature, g.threads));
-    // The identity check must not pass vacuously: every generated trace has
-    // to exercise cross-thread RAW detection and nested-region attribution.
-    ASSERT_GT(baseline->stats().dependencies, 0u);
-    ASSERT_GT(baseline->regions().node_count(), 1u);
-    for (const std::uint32_t b : batches) {
-      auto o = base_options(cc::Backend::kAsymmetricSignature, g.threads);
-      o.batch_size = b;
-      expect_identical(*baseline, *profile(ops, o),
-                       case_name(g.seed, g.threads, b));
+  // A power-of-two slot count reduces the address hash by mask; a prime one
+  // (what a non-power-of-two --slots gives) takes the modulo path through
+  // drain_batch.
+  const std::size_t slot_counts[] = {std::size_t{1} << 16, 65521};
+  for (const std::size_t slots : slot_counts) {
+    for (const auto& g : grid) {
+      TraceShape shape;
+      shape.threads = g.threads;
+      const auto ops = make_trace(g.seed, shape);
+      auto base = base_options(cc::Backend::kAsymmetricSignature, g.threads);
+      base.signature_slots = slots;
+      const auto baseline = profile(ops, base);
+      // The identity check must not pass vacuously: every generated trace
+      // has to exercise cross-thread RAW detection and nested-region
+      // attribution.
+      ASSERT_GT(baseline->stats().dependencies, 0u);
+      ASSERT_GT(baseline->regions().node_count(), 1u);
+      for (const std::uint32_t b : batches) {
+        auto o = base;
+        o.batch_size = b;
+        expect_identical(*baseline, *profile(ops, o),
+                         case_name(g.seed, g.threads, b) +
+                             " slots=" + std::to_string(slots));
+      }
     }
   }
 }

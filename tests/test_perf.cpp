@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -345,10 +347,22 @@ TEST(PerfDifferential, DegradedEngineMatchesDisabledEngine) {
   base.epoch_accesses = 1024;
   cc::ProfilerOptions degraded = base;
   degraded.perf = true;
-  degraded.perf_open_fail_from = 1;
 
   cc::Profiler off(base);
+  // The engine reads the perf-open-fail clause when the Profiler builds it.
+  // Restore whatever was set before: the no-PMU CI job sets the variable
+  // for the whole run.
+  const char* prior_env = std::getenv("COMMSCOPE_FAULT");
+  const std::optional<std::string> prior =
+      prior_env != nullptr ? std::optional<std::string>(prior_env)
+                           : std::nullopt;
+  ::setenv("COMMSCOPE_FAULT", "perf-open-fail:1", 1);
   cc::Profiler on(degraded);
+  if (prior.has_value()) {
+    ::setenv("COMMSCOPE_FAULT", prior->c_str(), 1);
+  } else {
+    ::unsetenv("COMMSCOPE_FAULT");
+  }
   drive(off, 0xfeed);
   drive(on, 0xfeed);
 

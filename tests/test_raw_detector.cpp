@@ -11,6 +11,7 @@
 
 #include "core/raw_detector.hpp"
 #include "sigmem/exact_signature.hpp"
+#include "support/hash.hpp"
 
 namespace cc = commscope::core;
 namespace sg = commscope::sigmem;
@@ -147,6 +148,32 @@ TEST(AsymmetricDetector, ByteSizeIsBoundedBySlotCount) {
   const std::uint64_t cap =
       det.read_signature().byte_size() + det.write_signature().byte_size();
   EXPECT_EQ(det.byte_size(), cap);
+}
+
+TEST(AsymmetricDetector, SlotMappingIsStableAndInRange) {
+  // 97 slots: not a power of two, so the map takes the modulo reduction.
+  cc::AsymmetricDetector det(97, 8, 0.001);
+  const std::uintptr_t addr = 0x7fff12345678;
+  EXPECT_EQ(det.slot_of(addr), det.slot_of(addr));
+  for (std::uintptr_t a = 0; a < 1000; ++a) {
+    EXPECT_LT(det.slot_of(0x1000 + a * 8), 97u);
+  }
+}
+
+TEST(AsymmetricDetector, MaskedSlotMapEqualsModulo) {
+  // Power-of-two slot counts reduce by mask; the ids must be the modulo ones
+  // (both reductions of one murmur mix), or outputs would depend on --slots
+  // being a power of two.
+  for (const std::size_t slots : {std::size_t{1}, std::size_t{1} << 10,
+                                  std::size_t{1} << 20}) {
+    cc::AsymmetricDetector det(slots, 8, 0.001);
+    for (std::uintptr_t a = 0; a < 1000; ++a) {
+      const std::uintptr_t addr = 0x1000 + a * 8;
+      EXPECT_EQ(det.slot_of(addr),
+                commscope::support::murmur_mix64(addr) % slots)
+          << "slots " << slots << " addr " << addr;
+    }
+  }
 }
 
 // --- property sweep: FPR monotone in slot count ---------------------------------

@@ -89,6 +89,34 @@ TEST(SamplingSink, ControlEventsAlwaysPassThrough) {
   EXPECT_EQ(inner.finalizes, 1);
 }
 
+TEST(SamplingSink, OutOfRangeTidsPassThroughUnsampled) {
+  // -1 is ThreadRegistry::kUnregistered; 64 is one past the sampler's lanes.
+  // Neither may index a lane: both reach the inner sink unsampled, and a
+  // Profiler underneath drops and counts them.
+  CountingSink inner;
+  ci::SamplingSink sampler(inner, {.burst_on = 1, .burst_off = 3});
+  for (const int tid : {-1, 64}) {
+    for (int i = 0; i < 8; ++i) {
+      sampler.on_access(tid, 0x4000, 8, ci::AccessKind::kWrite);
+    }
+  }
+  EXPECT_EQ(inner.accesses, 16);
+  EXPECT_EQ(sampler.forwarded(), 0u);
+  EXPECT_EQ(sampler.dropped(), 0u);
+
+  cc::ProfilerOptions opts;
+  opts.max_threads = 4;
+  opts.signature_slots = 1 << 12;
+  cc::Profiler prof(opts);
+  ci::SamplingSink guarded(prof, {.burst_on = 1, .burst_off = 3});
+  for (const int tid : {-1, 4, 64}) {
+    guarded.on_access(tid, 0x4000, 8, ci::AccessKind::kRead);
+  }
+  guarded.finalize();
+  EXPECT_EQ(prof.dropped_events(), 3u);
+  EXPECT_EQ(prof.stats().accesses, 0u);
+}
+
 TEST(SamplingSink, SampledProfilePreservesShapeAndBoundsVolume) {
   // A dependency survives sampling only if its producing write AND the
   // consumer's first read both land in on-bursts, so the sampled volume is

@@ -111,7 +111,8 @@
 // 2 usage error (unknown flag/command, malformed flag value), 3 a valid
 // comparison that failed its contract — a `commscope diff` regression or a
 // `commscope health` SLO breach, 124 watchdog timeout, 128+N death by
-// signal N (emergency snapshot written first).
+// signal N (emergency snapshot written first when --checkpoint names a
+// file; the message says whether one was saved).
 #include <atomic>
 #include <chrono>
 #include <csignal>
