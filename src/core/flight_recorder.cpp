@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <stdexcept>
-#include <tuple>
+#include <utility>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -87,14 +86,12 @@ constexpr std::uint32_t kMaxCountStride = 64;
 /// slack of threads * stride stays a few percent of the window.
 constexpr std::uint64_t kMaxVolumeStride = 1024;
 
-/// uint64 cells per cache line: each shard's cells start a fresh line.
-constexpr std::size_t kCellsPerLine = 64 / sizeof(std::uint64_t);
-
 }  // namespace
 
-FlightRecorder::FlightRecorder(FlightRecorderOptions options,
+FlightRecorder::FlightRecorder(FlightRecorderOptions options, CutSource cut,
                                support::MemoryTracker* tracker)
     : options_(options),
+      cut_(std::move(cut)),
       active_(options.enabled() || options.phase_window_bytes != 0),
       tracker_(tracker) {
   if (!active_) return;  // inactive: allocate nothing, ever
@@ -112,45 +109,25 @@ FlightRecorder::FlightRecorder(FlightRecorderOptions options,
   // publish every dependency, large ones coalesce up to the cap.
   volume_stride_ = std::clamp<std::uint64_t>(options_.phase_window_bytes / 64,
                                              1, kMaxVolumeStride);
-  due_ = options_.phase_window_bytes;
+  due_.store(options_.phase_window_bytes, std::memory_order_relaxed);
   if (options_.enabled()) {
     epochs_.capacity = std::min(
         options_.capacity == 0 ? kDefaultEpochRing : options_.capacity,
         kMaxEpochRing);
   }
   if (options_.phase_window_bytes != 0) phases_.capacity = kMaxEpochRing;
-
-  // One shard per consumer, each owning a run of whole cache lines in
-  // cell_store_ for the columns of the partitions that record.
-  const std::size_t n = static_cast<std::size_t>(options_.threads);
-  const std::size_t columns =
-      (epochs_.capacity != 0 ? 1u : 0u) + (phases_.capacity != 0 ? 1u : 0u);
-  const std::size_t block =
-      (columns * n + kCellsPerLine - 1) / kCellsPerLine * kCellsPerLine;
-  cell_store_.assign(n * block + kCellsPerLine - 1, 0);
-  void* base = cell_store_.data();
-  std::size_t space = cell_store_.size() * sizeof(std::uint64_t);
-  std::uint64_t* cells = static_cast<std::uint64_t*>(
-      std::align(64, n * block * sizeof(std::uint64_t), base, space));
-  shards_ = std::make_unique<Shard[]>(n);
-  for (std::size_t c = 0; c < n; ++c) {
-    Shard& s = shards_[c];
-    s.due = due_;
-    std::uint64_t* next = cells + c * block;
-    for (Partition* w : {&epochs_, &phases_}) {
-      if (w->capacity == 0) continue;
-      s.window[w->column].cells = next;
-      next += n;
-    }
+  // Each recording partition starts at the empty cut. Charge the marks'
+  // matrices now and each ring slot as it fills. Per-epoch sparse cell
+  // payloads are bounded by capacity * threads^2 but typically tiny; they
+  // ride untracked like the tracer's static rings, as do the marks' few
+  // loop shares.
+  for (Partition* w : {&epochs_, &phases_}) {
+    if (w->capacity == 0) continue;
+    w->mark.matrix = Matrix(options_.threads);
+    tracked_bytes_ += w->mark.matrix.cells().size_bytes();
   }
-  last_seal_ns_.store(steady_now_ns(), std::memory_order_relaxed);
-  // Charge the shards now and each ring slot as it fills. Per-epoch sparse
-  // cell payloads are bounded by capacity * threads^2 but typically tiny;
-  // they ride untracked like the tracer's static rings, as do the columns'
-  // few loop shares.
-  tracked_bytes_ = n * sizeof(Shard) +
-                   cell_store_.size() * sizeof(std::uint64_t);
   if (tracker_ != nullptr) tracker_->add(tracked_bytes_);
+  last_seal_ns_.store(steady_now_ns(), std::memory_order_relaxed);
 }
 
 FlightRecorder::~FlightRecorder() {
@@ -171,48 +148,6 @@ void FlightRecorder::publish_accesses(std::uint32_t batch) noexcept {
     // the batch crosses a poll-window boundary instead of testing equality.
     timer_tick();
   }
-}
-
-void FlightRecorder::add(int producer, int consumer, std::uint64_t bytes,
-                         instrument::LoopId loop) noexcept {
-  if (!active_) return;
-  // Each endpoint on its own: a bound on the flattened index would book
-  // (1, 7) at 4 threads into cell (2, 3).
-  const auto n = static_cast<unsigned>(options_.threads);
-  if (static_cast<unsigned>(producer) >= n ||
-      static_cast<unsigned>(consumer) >= n) {
-    return;
-  }
-  Shard& s = shards_[static_cast<std::size_t>(consumer)];
-  bool due = false;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    for (const Partition* w : {&epochs_, &phases_}) {
-      if (w->capacity == 0) continue;
-      Column& col = s.window[w->column];
-      col.cells[producer] += bytes;
-      col.bytes += bytes;
-      ++col.deps;
-      auto share = std::find_if(
-          col.loops.begin(), col.loops.end(),
-          [loop](const EpochLoopShare& x) { return x.loop == loop; });
-      if (share == col.loops.end()) {
-        share = col.loops.insert(share, {loop, 0});
-      }
-      share->bytes += bytes;
-    }
-    if (phases_.capacity != 0) {
-      TlPending& tl = own_slot();
-      tl.volume += bytes;
-      if (tl.volume >= volume_stride_) {
-        tl.seen = volume_.fetch_add(tl.volume, std::memory_order_relaxed) +
-                  tl.volume;
-        tl.volume = 0;
-      }
-      due = tl.seen + tl.volume >= s.due;
-    }
-  }
-  if (due) seal_volume();
 }
 
 void FlightRecorder::seal(EpochSeal reason) noexcept {
@@ -236,17 +171,18 @@ void FlightRecorder::seal(EpochSeal reason) noexcept {
     default:
       break;
   }
-  seal_epoch_locked(reason);
+  seal_epoch_locked(reason, cut_());
 }
 
 void FlightRecorder::seal_volume() noexcept {
   std::lock_guard<std::mutex> lock(mu_);
-  // The shard's copy of due_ may predate a seal that is still copying the
-  // new one out; only the first thread past the current due_ seals.
-  if (volume_.load(std::memory_order_relaxed) + own_slot().volume < due_) {
+  // The due_ this thread read may predate a seal that has since moved it;
+  // only the first thread past the current due_ seals.
+  if (volume_.load(std::memory_order_relaxed) + own_slot().volume <
+      due_.load(std::memory_order_relaxed)) {
     return;
   }
-  seal_phase_locked(EpochSeal::kVolume);
+  seal_phase_locked(EpochSeal::kVolume, cut_());
 }
 
 void FlightRecorder::timer_tick() noexcept {
@@ -259,21 +195,23 @@ void FlightRecorder::timer_tick() noexcept {
 void FlightRecorder::flush(EpochSeal reason) noexcept {
   if (!active_) return;
   std::lock_guard<std::mutex> lock(mu_);
+  const RecorderCut cut = cut_();
   // An explicit boundary with nothing behind it (no access advanced, no
   // dependency recorded) would create an empty epoch per checkpoint; skip.
   if (epochs_.capacity != 0 &&
       (accesses_.load(std::memory_order_relaxed) !=
            epochs_.first_access.load(std::memory_order_relaxed) ||
-       open_sum(epochs_, &Column::deps) != 0)) {
-    seal_epoch_locked(reason);
+       cut.dependencies != epochs_.mark.dependencies)) {
+    seal_epoch_locked(reason, cut);
   }
   if (reason == EpochSeal::kFinalize && phases_.capacity != 0 &&
-      open_sum(phases_, &Column::bytes) != 0) {
-    seal_phase_locked(reason);
+      cut.matrix.total() != phases_.mark.matrix.total()) {
+    seal_phase_locked(reason, cut);
   }
 }
 
-void FlightRecorder::seal_epoch_locked(EpochSeal reason) {
+void FlightRecorder::seal_epoch_locked(EpochSeal reason,
+                                       const RecorderCut& cut) {
   if (reason == EpochSeal::kAccesses && options_.replay) {
     reason = EpochSeal::kReplay;
   }
@@ -283,7 +221,7 @@ void FlightRecorder::seal_epoch_locked(EpochSeal reason) {
                                         ? options_.perf->window_delta()
                                         : telemetry::PerfDelta{};
   if (seal_locked(epochs_, reason, accesses_.load(std::memory_order_relaxed),
-                  perf)) {
+                  perf, cut)) {
     telemetry::counter("recorder.overwrites").add(1);
   }
   telemetry::counter("recorder.epochs").add(1);
@@ -291,7 +229,8 @@ void FlightRecorder::seal_epoch_locked(EpochSeal reason) {
   last_seal_ns_.store(steady_now_ns(), std::memory_order_relaxed);
 }
 
-void FlightRecorder::seal_phase_locked(EpochSeal reason) {
+void FlightRecorder::seal_phase_locked(EpochSeal reason,
+                                       const RecorderCut& cut) {
   const TlPending& tl = pending_slot();
   const bool own = tl.gen == gen_;
   const std::uint64_t mine = own ? tl.pending : 0;
@@ -304,76 +243,49 @@ void FlightRecorder::seal_phase_locked(EpochSeal reason) {
   // (exact with one thread), never before the previous one was.
   const std::uint64_t view =
       volume_.load(std::memory_order_relaxed) + (own ? tl.volume : 0);
-  due_ = std::max(view, due_ - options_.phase_window_bytes) +
-         options_.phase_window_bytes;
-  seal_locked(phases_, reason, last, {});
-}
-
-std::uint64_t FlightRecorder::open_sum(const Partition& w,
-                                       std::uint64_t Column::*field) const {
-  std::uint64_t sum = 0;
-  for (std::size_t c = 0; c < static_cast<std::size_t>(options_.threads);
-       ++c) {
-    Shard& s = shards_[c];
-    std::lock_guard<std::mutex> lock(s.mu);
-    sum += s.window[w.column].*field;
-  }
-  return sum;
+  const std::uint64_t due = due_.load(std::memory_order_relaxed);
+  due_.store(std::max(view, due - options_.phase_window_bytes) +
+                 options_.phase_window_bytes,
+             std::memory_order_relaxed);
+  seal_locked(phases_, reason, last, {}, cut);
 }
 
 bool FlightRecorder::seal_locked(Partition& w, EpochSeal reason,
                                  std::uint64_t last_access,
-                                 const telemetry::PerfDelta& perf) {
+                                 const telemetry::PerfDelta& perf,
+                                 const RecorderCut& cut) {
   EpochSample e;
   e.index = w.sealed++;
   e.first_access = w.first_access.load(std::memory_order_relaxed);
   e.last_access = last_access;
   e.reason = reason;
   e.perf = perf;
-  // Merge the consumer columns shard by shard. Holding one shard lock at a
-  // time keeps adds on the other shards running, and each dependency still
-  // lands whole in exactly one window.
-  const std::size_t n = static_cast<std::size_t>(options_.threads);
-  for (std::size_t c = 0; c < n; ++c) {
-    Shard& s = shards_[c];
-    std::lock_guard<std::mutex> lock(s.mu);
-    Column& col = s.window[w.column];
-    for (std::size_t p = 0; p < n; ++p) {
-      if (col.cells[p] != 0) {
-        e.cells.push_back(EpochCell{static_cast<std::uint16_t>(p),
-                                    static_cast<std::uint16_t>(c),
-                                    col.cells[p]});
-      }
-    }
-    e.loops.insert(e.loops.end(), col.loops.begin(), col.loops.end());
-    e.bytes += col.bytes;
-    e.dependencies += col.deps;
-    std::fill_n(col.cells, n, 0);
-    col.loops.clear();
-    col.bytes = 0;
-    col.deps = 0;
-    if (&w == &phases_) s.due = due_;
-  }
-  // Columns were visited consumer-major; samples keep (producer, consumer)
-  // order, and one share per loop.
-  std::sort(e.cells.begin(), e.cells.end(),
-            [](const EpochCell& a, const EpochCell& b) {
-              return std::tie(a.producer, a.consumer) <
-                     std::tie(b.producer, b.consumer);
-            });
-  std::sort(e.loops.begin(), e.loops.end(),
-            [](const EpochLoopShare& a, const EpochLoopShare& b) {
-              return a.loop < b.loop;
-            });
-  std::vector<EpochLoopShare> loops;
-  for (const EpochLoopShare& share : e.loops) {
-    if (!loops.empty() && loops.back().loop == share.loop) {
-      loops.back().bytes += share.bytes;
-    } else {
-      loops.push_back(share);
+  e.dependencies = cut.dependencies - w.mark.dependencies;
+  // The window is the cut minus the mark: cells come out in (producer,
+  // consumer) order, and shares in loop-id order, one per loop that grew.
+  const int n = options_.threads;
+  for (int p = 0; p < n; ++p) {
+    for (int c = 0; c < n; ++c) {
+      const std::uint64_t bytes = cut.matrix.at(p, c) - w.mark.matrix.at(p, c);
+      if (bytes == 0) continue;
+      e.cells.push_back(EpochCell{static_cast<std::uint16_t>(p),
+                                  static_cast<std::uint16_t>(c), bytes});
+      e.bytes += bytes;
     }
   }
-  e.loops = std::move(loops);
+  auto before = w.mark.loops.begin();
+  for (const EpochLoopShare& share : cut.loops) {
+    // The mark's loops are a subset of the cut's: loops only ever grow.
+    while (before != w.mark.loops.end() && before->loop < share.loop) ++before;
+    const std::uint64_t prior =
+        before != w.mark.loops.end() && before->loop == share.loop
+            ? before->bytes
+            : 0;
+    if (share.bytes != prior) {
+      e.loops.push_back(EpochLoopShare{share.loop, share.bytes - prior});
+    }
+  }
+  w.mark = cut;
   w.first_access.store(last_access, std::memory_order_relaxed);
 
   if (w.ring.size() < w.capacity) {

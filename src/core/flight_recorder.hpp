@@ -20,6 +20,15 @@
 // volume and at finalize. enabled(), epochs_sealed(), the sidecar, the
 // recorder.* counters and the hardware counter deltas see epochs only.
 //
+// A dependency is booked once, into its loop region's matrix; the recorder
+// never sees it. Every seal reads one RecorderCut — the whole-program matrix
+// summed over the region tree's direct matrices, the bytes per loop id
+// summed the same way, and the total dependency count — and stores the cut
+// minus the partition's previous cut (its mark), which the cut then
+// replaces. So the deltas of a partition telescope: they sum to the final
+// matrix by construction, at any thread count (the paper's parent-as-sum-of-
+// children rule, Section V.A.4, taken over time).
+//
 // Cost model mirrors the tracer:
 //   * Inactive (no epoch trigger, no phase volume — the default): the hot
 //     path is one branch on a plain bool; nothing is allocated, ever.
@@ -28,25 +37,24 @@
 //     epoch granularity, so fine-grained triggers stay exact while coarse
 //     ones avoid cache-line ping-pong between counting threads). Epoch
 //     boundaries are exact to within stride_ * threads accesses.
-//   * add() runs once per dependency, which is not rare: dependencies are a
-//     third of ocean_ncp's accesses and a sixth of radix's. So the open
-//     windows of both partitions are sharded by consumer thread: each
-//     consumer's column (cells, loop shares, bytes, deps) sits on its own
-//     cache lines under its own lock, and a dependency touches nothing
-//     another thread writes. Phase volume is counted like accesses: in the
-//     thread-local slot, published to one atomic once per `volume_stride_`
-//     bytes (1/64th of the window, at most 1 KiB). One thread gets exact
-//     windows; with T threads a window runs up to about T * volume_stride_
-//     bytes long or short of its volume (see phase_windows()). A seal is
-//     the only cross-thread point: under mu_ it visits the shards in tid
-//     order, one lock at a time, and merges their columns.
-//   * Memory: the shards and their columns are charged to the tracker at
-//     construction, each ring slot when a sealed sample first occupies it.
+//   * on_dependency() runs once per dependency, which is not rare:
+//     dependencies are a third of ocean_ncp's accesses and a sixth of
+//     radix's. It only advances the phase volume (one branch with phases
+//     off), counted in the thread-local slot and published to one atomic
+//     once per `volume_stride_` bytes (1/64th of the window, at most 1 KiB).
+//     One thread gets exact windows; with T threads a window runs up to
+//     about T * volume_stride_ bytes long or short of its volume (see
+//     phase_windows()). A seal is the only cross-thread point: under mu_ it
+//     walks the region tree, taking each node's child and sparse-matrix
+//     spinlocks in turn, so nothing may take mu_ while holding those.
+//   * Memory: each recording partition's mark matrix is charged to the
+//     tracker at construction, each ring slot when a sealed sample first
+//     occupies it.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -157,6 +165,18 @@ struct FlightRecorderOptions {
   }
 };
 
+/// Cumulative totals of the dependency stream at one instant; a seal stores
+/// the difference of two cuts.
+struct RecorderCut {
+  Matrix matrix;                      ///< whole-program bytes by (p, c)
+  std::vector<EpochLoopShare> loops;  ///< bytes by loop id, sorted by id
+  std::uint64_t dependencies = 0;     ///< RAW edges
+};
+
+/// Reads the current cut. Called under the recorder's lock at every seal;
+/// its matrix must have the recorder's thread count as dimension.
+using CutSource = std::function<RecorderCut()>;
+
 /// Default ring capacity when a trigger is set but no capacity was given.
 inline constexpr std::uint32_t kDefaultEpochRing = 512;
 /// Hard ring ceiling (the recorder is bounded by contract); phase windows
@@ -166,10 +186,11 @@ inline constexpr std::uint32_t kMaxEpochRing = 1u << 20;
 class FlightRecorder {
  public:
   /// An inactive recorder (no epoch trigger, no phase volume) allocates
-  /// nothing and its hot-path calls reduce to one branch. `tracker`
-  /// (optional) is charged for the shards and the occupied ring slots so
-  /// Figure 5 numbers stay honest.
-  FlightRecorder(FlightRecorderOptions options,
+  /// nothing and its hot-path calls reduce to one branch. `cut` is read at
+  /// every seal (the profiler's region tree; tests hand-feed one).
+  /// `tracker` (optional) is charged for the marks and the occupied ring
+  /// slots so Figure 5 numbers stay honest.
+  FlightRecorder(FlightRecorderOptions options, CutSource cut,
                  support::MemoryTracker* tracker = nullptr);
   ~FlightRecorder();
 
@@ -190,7 +211,7 @@ class FlightRecorder {
   /// small, so fine-grained triggers remain exact). Up to stride_ - 1
   /// events per thread may still be pending at a flush boundary; they fold
   /// into the next window's access count (matrix deltas are unaffected —
-  /// dependencies flow through add(), not this counter).
+  /// they come from the cut, not this counter).
   void count_access() noexcept {
     if (!active_) return;
     TlPending& tl = own_slot();
@@ -212,17 +233,28 @@ class FlightRecorder {
     tl.pending += k;
   }
 
-  /// Feeds one detected dependency attributed to `loop` on the consumer
-  /// side into both partitions, sealing the phase window it fills.
-  /// Thread-safe: takes only `consumer`'s shard lock (plus the shared
-  /// volume atomic once per volume stride). Endpoints outside [0, threads)
-  /// are ignored.
-  void add(int producer, int consumer, std::uint64_t bytes,
-           instrument::LoopId loop) noexcept;
+  /// Advances the phase volume by one dependency of `bytes`, which the cut
+  /// source must already hold, and seals the phase window it fills.
+  /// Thread-safe and lock-free below the seal: touches the shared volume
+  /// atomic once per volume stride. One branch when phases are off.
+  void on_dependency(std::uint64_t bytes) noexcept {
+    if (options_.phase_window_bytes == 0) return;
+    TlPending& tl = own_slot();
+    tl.volume += bytes;
+    if (tl.volume >= volume_stride_) {
+      tl.seen =
+          volume_.fetch_add(tl.volume, std::memory_order_relaxed) + tl.volume;
+      tl.volume = 0;
+    }
+    if (tl.seen + tl.volume >= due_.load(std::memory_order_relaxed)) {
+      seal_volume();
+    }
+  }
 
-  /// Seals the current partial epoch (if it saw any activity) with an
-  /// explicit reason — the checkpoint/finalize boundary hook. kFinalize
-  /// also seals the open phase window when it holds bytes.
+  /// Seals the current partial epoch (if accesses or dependencies advanced
+  /// since its mark) with an explicit reason — the checkpoint/finalize
+  /// boundary hook. kFinalize also seals the open phase window when its
+  /// bytes advanced.
   void flush(EpochSeal reason) noexcept;
 
   /// Epochs sealed / overwritten so far, and phase windows overwritten.
@@ -244,6 +276,8 @@ class FlightRecorder {
   /// since the sealing thread last looked, so a window holds W bytes give
   /// or take threads * volume stride, plus the dependency that crossed W.
   /// Access counts blur the same way by each thread's pending accesses.
+  /// Whatever the thread count, a window's matrix is what the region tree
+  /// gained between its two cuts, so the windows sum to the final matrix.
   [[nodiscard]] EpochTimeline phase_windows() const;
 
  private:
@@ -274,35 +308,13 @@ class FlightRecorder {
     return tl;
   }
 
-  /// One consumer's column of one partition's open window.
-  struct Column {
-    std::uint64_t* cells = nullptr;     ///< bytes by producer (threads long)
-    std::vector<EpochLoopShare> loops;  ///< unsorted, linear scan
-    std::uint64_t bytes = 0;
-    std::uint64_t deps = 0;
-  };
-
-  /// One consumer thread's slice of both open windows. Cache-line aligned
-  /// (its column cells live on lines of their own in cell_store_), so a
-  /// dependency writes only memory its consumer owns.
-  struct alignas(64) Shard {
-    std::mutex mu;
-    Column window[2];  ///< indexed by Partition::column
-    /// Volume at which the open phase window is due (a copy of due_, kept
-    /// here so the per-dependency check reads no shared line).
-    std::uint64_t due = 0;
-  };
-
-  /// One windowed-delta partition: the ring its sealed samples land in,
-  /// guarded by mu_; the open window itself lives in the shards' columns.
-  /// `first_access` is atomic because the epoch triggers also read it
-  /// without the lock.
+  /// One windowed-delta partition: the ring its sealed samples land in and
+  /// the cut its open window started at, guarded by mu_. `first_access` is
+  /// atomic because the epoch triggers also read it without the lock.
   struct Partition {
-    explicit Partition(std::size_t col) : column(col) {}
-
-    const std::size_t column;             ///< index into Shard::window
-    std::uint32_t capacity = 0;           ///< ring ceiling; 0 = off
+    std::uint32_t capacity = 0;  ///< ring ceiling; 0 = off
     std::atomic<std::uint64_t> first_access{0};
+    RecorderCut mark;
     std::uint64_t sealed = 0;
     std::uint64_t dropped = 0;
     std::vector<EpochSample> ring;  ///< grows to capacity, then ring order
@@ -318,25 +330,23 @@ class FlightRecorder {
   /// Re-checks the phase volume under mu_ and seals the window if it is
   /// still due (another thread may have sealed it first).
   void seal_volume() noexcept;
-  /// Seals the open epoch under mu_; trigger reasons re-check their
-  /// condition first (in seal()) so concurrent crossers produce one epoch.
-  void seal_epoch_locked(EpochSeal reason);
-  /// Seals the open phase window under mu_, counting the calling thread's
-  /// unpublished accesses and bytes in without publishing them (no epoch
-  /// moves), and sets the volume at which the next window is due.
-  void seal_phase_locked(EpochSeal reason);
-  /// Merges `w`'s open window out of the shards (one shard lock at a time,
-  /// in tid order) into its ring as a sample ending at `last_access`, and
-  /// opens the next window there; returns true when the sample overwrote
-  /// the oldest one.
+  /// Seals the open epoch at `cut` under mu_; trigger reasons re-check
+  /// their condition first (in seal()) so concurrent crossers produce one
+  /// epoch.
+  void seal_epoch_locked(EpochSeal reason, const RecorderCut& cut);
+  /// Seals the open phase window at `cut` under mu_, counting the calling
+  /// thread's unpublished accesses and bytes in without publishing them (no
+  /// epoch moves), and sets the volume at which the next window is due.
+  void seal_phase_locked(EpochSeal reason, const RecorderCut& cut);
+  /// Stores `cut` minus `w`'s mark in its ring as a sample ending at
+  /// `last_access`, and opens the next window there with `cut` as its mark;
+  /// returns true when the sample overwrote the oldest one.
   bool seal_locked(Partition& w, EpochSeal reason, std::uint64_t last_access,
-                   const telemetry::PerfDelta& perf);
-  /// Sum of one Column field over `w`'s open window, shard by shard.
-  [[nodiscard]] std::uint64_t open_sum(const Partition& w,
-                                       std::uint64_t Column::*field) const;
+                   const telemetry::PerfDelta& perf, const RecorderCut& cut);
   [[nodiscard]] EpochTimeline copy_ring(const Partition& w) const;
 
   FlightRecorderOptions options_;
+  CutSource cut_;
   bool active_ = false;
   support::MemoryTracker* tracker_ = nullptr;
   std::uint64_t tracked_bytes_ = 0;
@@ -350,17 +360,13 @@ class FlightRecorder {
   /// Published phase volume (bytes), on a line of its own: it is the one
   /// shared word the dependency path writes, once per volume stride.
   alignas(64) std::atomic<std::uint64_t> volume_{0};
+  /// Volume at which the open phase window is due: written under mu_ by
+  /// each phase seal, read without it by every dependency.
+  std::atomic<std::uint64_t> due_{0};
 
   alignas(64) mutable std::mutex mu_;
-  Partition epochs_{0};
-  Partition phases_{1};
-  /// Volume at which the open phase window is due; guarded by mu_, copied
-  /// into every shard at each phase seal.
-  std::uint64_t due_ = 0;
-  /// One shard per consumer thread, and the cache-line-aligned backing
-  /// store of their column cells.
-  std::unique_ptr<Shard[]> shards_;
-  std::vector<std::uint64_t> cell_store_;
+  Partition epochs_;
+  Partition phases_;
 };
 
 }  // namespace commscope::core

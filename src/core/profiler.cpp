@@ -1,5 +1,6 @@
 #include "core/profiler.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "telemetry/metrics.hpp"
@@ -8,6 +9,19 @@
 namespace commscope::core {
 
 namespace {
+
+/// Rejects out-of-range options before any member is built for them: a
+/// 4000-thread profiler would zero-fill a 4000^2 matrix, and a 2^20-thread
+/// one would map a read signature of terabytes, before the body could check.
+const ProfilerOptions& validated(const ProfilerOptions& o) {
+  if (o.max_threads < 1 || o.max_threads > 64) {
+    throw std::invalid_argument("Profiler supports 1..64 threads");
+  }
+  if (o.batch_size > kMaxBatchSize) {
+    throw std::invalid_argument("Profiler batch_size must be <= 256");
+  }
+  return o;
+}
 
 std::variant<AsymmetricDetector, sigmem::ExactSignature> make_backend(
     const ProfilerOptions& o, support::MemoryTracker* tracker) {
@@ -23,7 +37,7 @@ std::variant<AsymmetricDetector, sigmem::ExactSignature> make_backend(
 }  // namespace
 
 Profiler::Profiler(ProfilerOptions options)
-    : options_(options),
+    : options_(validated(options)),
       backend_(make_backend(options, &memory_)),
       tree_(options.max_threads, &memory_, options.sparse_region_matrices),
       perf_(options.perf
@@ -38,15 +52,9 @@ Profiler::Profiler(ProfilerOptions options)
                                       options.phase_window_bytes,
                                       options.epoch_replay,
                                       perf_.get()},
-                &memory_),
+                [this] { return recorder_cut(); }, &memory_),
       contexts_(std::make_unique<ThreadCtx[]>(
           static_cast<std::size_t>(options.max_threads))) {
-  if (options.max_threads < 1 || options.max_threads > 64) {
-    throw std::invalid_argument("Profiler supports 1..64 threads");
-  }
-  if (options.batch_size > kMaxBatchSize) {
-    throw std::invalid_argument("Profiler batch_size must be <= 256");
-  }
   for (int t = 0; t < options.max_threads; ++t) {
     contexts_[static_cast<std::size_t>(t)].stack.reserve(16);
   }
@@ -153,10 +161,9 @@ void Profiler::ingest_one(int tid, ThreadCtx& c, std::uintptr_t addr,
     producer = std::get<sigmem::ExactSignature>(backend_).on_read(addr, tid);
   }
   if (producer.has_value()) {
-    ++c.dependencies;
-    RegionNode* region = c.stack.back();
-    region->matrix().add(*producer, tid, size);
-    recorder_.add(*producer, tid, size, region->loop());
+    c.stack.back()->matrix().add(*producer, tid, size);
+    count_dependencies(c, 1);
+    recorder_.on_dependency(size);
   }
 }
 
@@ -188,23 +195,23 @@ void Profiler::flush_batch(int tid) {
     c.accesses += n;
     c.writes += r.writes;
     c.reads += n - r.writes;
-    c.dependencies += r.deps;
     if (recorder_.active()) {
-      // Epoch seals and phase windows snapshot mid-stream, so the access
-      // counting must interleave with the dependency adds in issue order —
-      // exactly as the unbatched path interleaves them. Counting the run of
-      // accesses up to each dependency in bulk publishes at the same points
-      // as counting them one by one.
+      // Epoch seals and phase windows cut the region matrices and the
+      // dependency count mid-stream, so both advance one dependency at a
+      // time, interleaved with the access counting in issue order — exactly
+      // as the unbatched path interleaves them. Counting the run of accesses
+      // up to each dependency in bulk publishes at the same points as
+      // counting them one by one.
       std::uint32_t counted = 0;
       for (std::uint32_t d = 0; d < r.deps; ++d) {
         const std::uint32_t i = dep_evt[d];
         recorder_.count_accesses(i + 1 - counted);
         counted = i + 1;
-        const int producer = dep_producer[d];
         const std::uint32_t bytes =
             c.batch_meta[i] & ~AsymmetricDetector::kMetaWriteBit;
-        region->matrix().add(producer, tid, bytes);
-        recorder_.add(producer, tid, bytes, region->loop());
+        region->matrix().add(dep_producer[d], tid, bytes);
+        count_dependencies(c, 1);
+        recorder_.on_dependency(bytes);
       }
       recorder_.count_accesses(n - counted);
     } else {
@@ -215,6 +222,7 @@ void Profiler::flush_batch(int tid) {
             dep_producer[d], tid,
             c.batch_meta[dep_evt[d]] & ~AsymmetricDetector::kMetaWriteBit);
       }
+      count_dependencies(c, r.deps);
     }
     return;
   }
@@ -360,11 +368,40 @@ bool Profiler::degrade_halve_slots(std::uint64_t event_index,
   return true;
 }
 
+RecorderCut Profiler::recorder_cut() const {
+  RecorderCut cut;
+  // Counts before matrices: a count this read sees was released after its
+  // bytes were added, so the walk below sees them too, and a window whose
+  // matrix grew always shows more dependencies than its mark (flush()'s
+  // skip rule relies on it).
+  for (int t = 0; t < options_.max_threads; ++t) {
+    cut.dependencies += contexts_[static_cast<std::size_t>(t)]
+                            .dependencies.load(std::memory_order_acquire);
+  }
+  cut.matrix = Matrix(options_.max_threads);
+  for (const RegionNode* node : tree_.preorder()) {
+    const Matrix direct = node->direct();
+    const std::uint64_t bytes = direct.total();
+    if (bytes == 0) continue;
+    cut.matrix += direct;
+    auto share = std::lower_bound(
+        cut.loops.begin(), cut.loops.end(), node->loop(),
+        [](const EpochLoopShare& s, instrument::LoopId id) {
+          return s.loop < id;
+        });
+    if (share == cut.loops.end() || share->loop != node->loop()) {
+      share = cut.loops.insert(share, EpochLoopShare{node->loop(), 0});
+    }
+    share->bytes += bytes;
+  }
+  return cut;
+}
+
 DependenceCounts Profiler::dependence_counts() const {
   DependenceCounts d;
   for (int t = 0; t < options_.max_threads; ++t) {
     const ThreadCtx& c = contexts_[static_cast<std::size_t>(t)];
-    d.raw += c.dependencies;
+    d.raw += c.dependencies.load(std::memory_order_relaxed);
     d.war += c.war;
     d.waw += c.waw;
     d.rar += c.rar;
@@ -379,7 +416,7 @@ ProfileStats Profiler::stats() const {
     s.accesses += c.accesses;
     s.reads += c.reads;
     s.writes += c.writes;
-    s.dependencies += c.dependencies;
+    s.dependencies += c.dependencies.load(std::memory_order_relaxed);
   }
   return s;
 }

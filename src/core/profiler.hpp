@@ -74,7 +74,7 @@ struct ProfilerOptions {
   /// unbatched path because events stay in per-thread issue order.
   std::uint32_t batch_size = 0;
   /// Flight-recorder epoch triggers (time-resolved communication). All zero
-  /// (the default) disables epochs — no ring, no window matrix, and with
+  /// (the default) disables epochs — no ring, no mark matrix, and with
   /// phases off, zero hot-path cost beyond one predicted branch. Any nonzero
   /// trigger arms it: an epoch seals every `epoch_accesses` raw accesses
   /// and/or every `epoch_millis` milliseconds, whichever fires first.
@@ -301,7 +301,9 @@ class Profiler final : public instrument::AccessSink {
     std::uint64_t accesses = 0;
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
-    std::uint64_t dependencies = 0;
+    /// Written only by the owning thread (see count_dependencies); read by
+    /// whichever thread seals a recorder window.
+    std::atomic<std::uint64_t> dependencies{0};
     std::uint64_t war = 0;
     std::uint64_t waw = 0;
     std::uint64_t rar = 0;
@@ -329,6 +331,20 @@ class Profiler final : public instrument::AccessSink {
 
   [[nodiscard]] ThreadCtx& ctx(int tid) noexcept {
     return contexts_[static_cast<std::size_t>(tid)];
+  }
+
+  /// The recorder's cut source: the region tree's direct matrices summed
+  /// into the whole-program matrix and into bytes per loop id, plus the
+  /// threads' dependency counts.
+  [[nodiscard]] RecorderCut recorder_cut() const;
+
+  /// Books `k` dependencies the calling thread already added to its region
+  /// matrix. A plain load and store, no read-modify-write: only the owning
+  /// thread writes the count. The store releases the matrix adds before it,
+  /// so a cut that sees the count also sees their bytes.
+  static void count_dependencies(ThreadCtx& c, std::uint64_t k) noexcept {
+    c.dependencies.store(c.dependencies.load(std::memory_order_relaxed) + k,
+                         std::memory_order_release);
   }
 
   /// Runs Algorithm 1 (plus attribution/classification) for one access.

@@ -150,6 +150,11 @@ TEST(CliErrors, MalformedFlagValueIsUsageError) {
   const RunResult backend = run_cli("run fft --backend=exakt");
   EXPECT_EQ(backend.exit_code, 2);
   EXPECT_NE(backend.output.find("--backend"), std::string::npos);
+  // Out of the profiler's range: rejected before the signatures are built
+  // for it, not a runtime allocation failure.
+  const RunResult wide = run_cli("run fft --threads=1048576");
+  EXPECT_EQ(wide.exit_code, 2);
+  EXPECT_NE(wide.output.find("1..64 threads"), std::string::npos);
 }
 
 TEST(CliErrors, CorruptMatrixFileFailsWithDiagnostic) {

@@ -39,6 +39,7 @@
 #include "core/region_tree.hpp"
 #include "instrument/loop_registry.hpp"
 #include "instrument/trace.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 #include "support/simd.hpp"
 #include "threading/thread_pool.hpp"
@@ -475,6 +476,59 @@ TEST(Differential, ScalarForcedBatchedStillMatchesUnbatchedInline) {
   expect_identical(*inline_dispatched, *batched_scalar,
                    "scalar batched vs dispatched inline");
   EXPECT_EQ(matrix_bytes(*inline_dispatched), matrix_bytes(*batched_scalar));
+}
+
+// --- cross-commit pin (label: differential) ---------------------------------
+//
+// The differentials above compare batch sizes within one build, so a seal
+// that moved alike at every batch size would pass them. This pins the epoch
+// and phase-window files of one seeded trace to checksums recorded with an
+// earlier build: moving a seal, a cell, a count or a loop share changes
+// them.
+
+namespace {
+
+/// CRC-32 of `t` as write_epochs() serializes it. Loop ids depend on the
+/// order loops were declared in the process, so the trace's loops are
+/// rewritten as their index (kNoLoop stays) and the labels dropped: the
+/// checksum does not depend on which tests ran first.
+std::uint32_t epochs_crc(cc::EpochTimeline t) {
+  t.loop_labels.clear();
+  for (cc::EpochSample& e : t.epochs) {
+    for (cc::EpochLoopShare& share : e.loops) {
+      for (int i = 0; i < 4; ++i) {
+        if (share.loop == trace_loop(i)) {
+          share.loop = static_cast<ci::LoopId>(i);
+        }
+      }
+    }
+  }
+  std::ostringstream os;
+  cc::write_epochs(os, t);
+  return cs::crc32(os.str());
+}
+
+}  // namespace
+
+TEST(Differential, EpochAndPhaseFilesMatchPinnedChecksums) {
+  TraceShape shape;
+  shape.rounds = 60;
+  const auto ops = make_trace(2020, shape);
+  for (const std::uint32_t b : {0u, 64u}) {
+    auto o = base_options(cc::Backend::kAsymmetricSignature, shape.threads);
+    o.epoch_accesses = 1000;
+    o.epoch_ring = cc::kMaxEpochRing;
+    o.phase_window_bytes = 4096;
+    o.batch_size = b;
+    const auto prof = profile(ops, o);
+    SCOPED_TRACE(case_name(2020, shape.threads, b));
+    const cc::EpochTimeline epochs = prof->epoch_timeline();
+    const cc::EpochTimeline phases = prof->recorder().phase_windows();
+    ASSERT_GT(epochs.epochs.size(), 3u);
+    ASSERT_GT(phases.epochs.size(), 3u);
+    EXPECT_EQ(epochs_crc(epochs), 0x1bd0c031u);
+    EXPECT_EQ(epochs_crc(phases), 0x64830557u);
+  }
 }
 
 // --- real-workload replay identity (label: differential) --------------------

@@ -1,16 +1,13 @@
 // Instrumentation-layer tests: loop registry, RAII loop scopes, the
-// COMMSCOPE_LOOP macro's once-per-site UID semantics, TracedSpan event
-// emission, NullSink zero-cost property. Emitted events are captured with
-// instrument::TraceRecorder.
+// COMMSCOPE_LOOP macro's once-per-site UID semantics, typed sink
+// convenience calls, NullSink zero-cost property. Emitted events are
+// captured with instrument::TraceRecorder.
 #include <gtest/gtest.h>
-
-#include <vector>
 
 #include "instrument/loop_registry.hpp"
 #include "instrument/loop_scope.hpp"
 #include "instrument/sink.hpp"
 #include "instrument/trace.hpp"
-#include "instrument/traced.hpp"
 
 namespace ci = commscope::instrument;
 
@@ -66,51 +63,6 @@ TEST(LoopScope, NullSinkSpecializationCompilesToNothing) {
   COMMSCOPE_LOOP(null, 0, "null", "noop");
   // Nothing observable; the declaration above must still register the site.
   SUCCEED();
-}
-
-TEST(TracedSpan, ReadsEmitReadEvents) {
-  ci::TraceRecorder sink;
-  std::vector<double> data{1.0, 2.0, 3.0};
-  ci::TracedSpan<double, ci::AccessSink> span(data, sink, 7);
-  EXPECT_DOUBLE_EQ(span[1], 2.0);
-  EXPECT_DOUBLE_EQ(span.load(2), 3.0);
-  ASSERT_EQ(sink.size(), 2u);
-  EXPECT_EQ(sink.events()[0].access, ci::AccessKind::kRead);
-  EXPECT_EQ(sink.events()[0].payload,
-            reinterpret_cast<std::uintptr_t>(&data[1]));
-  EXPECT_EQ(sink.events()[0].size, sizeof(double));
-  EXPECT_EQ(sink.events()[0].tid, 7);
-}
-
-TEST(TracedSpan, StoresEmitWriteEventsAndMutate) {
-  ci::TraceRecorder sink;
-  std::vector<int> data{0, 0};
-  ci::TracedSpan<int, ci::AccessSink> span(data, sink, 2);
-  span.store(1, 42);
-  EXPECT_EQ(data[1], 42);
-  ASSERT_EQ(sink.size(), 1u);
-  EXPECT_EQ(sink.events()[0].access, ci::AccessKind::kWrite);
-}
-
-TEST(TracedSpan, UpdateEmitsReadThenWrite) {
-  ci::TraceRecorder sink;
-  std::vector<int> data{10};
-  ci::TracedSpan<int, ci::AccessSink> span(data, sink, 0);
-  span.update(0, [](int v) { return v + 5; });
-  EXPECT_EQ(data[0], 15);
-  ASSERT_EQ(sink.size(), 2u);
-  EXPECT_EQ(sink.events()[0].access, ci::AccessKind::kRead);
-  EXPECT_EQ(sink.events()[1].access, ci::AccessKind::kWrite);
-}
-
-TEST(TracedSpan, NullSinkVariantIsPureView) {
-  ci::NullSink null;
-  std::vector<double> data{5.0};
-  ci::TracedSpan<double, ci::NullSink> span(data, null, 0);
-  EXPECT_DOUBLE_EQ(span[0], 5.0);
-  span.store(0, 6.0);
-  EXPECT_DOUBLE_EQ(data[0], 6.0);
-  EXPECT_EQ(span.size(), 1u);
 }
 
 TEST(SinkConvenience, TypedReadWriteCarrySizeof) {

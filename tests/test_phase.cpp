@@ -1,90 +1,14 @@
-// Phase-window tests: the flight recorder's volume-sealed partition
-// (windowing, finalize flush, access counts, isolation from the epoch
-// surface) and similarity-based segmentation.
+// Phase tests: similarity-based segmentation of a phase-window timeline
+// (the windows themselves are the flight recorder's volume-sealed
+// partition; test_recorder covers them).
 #include <gtest/gtest.h>
 
-#include "core/flight_recorder.hpp"
+#include <vector>
+
+#include "core/comm_matrix.hpp"
 #include "core/phase.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace cc = commscope::core;
-namespace ci = commscope::instrument;
-
-namespace {
-
-cc::FlightRecorderOptions phase_options(std::uint64_t window_bytes) {
-  cc::FlightRecorderOptions o;
-  o.threads = 4;
-  o.phase_window_bytes = window_bytes;
-  return o;
-}
-
-}  // namespace
-
-TEST(PhaseWindows, DisabledTracksNothing) {
-  cc::FlightRecorder r(phase_options(0));
-  EXPECT_FALSE(r.active());
-  r.add(0, 1, 1000, ci::kNoLoop);
-  r.flush(cc::EpochSeal::kFinalize);
-  EXPECT_TRUE(r.phase_windows().epochs.empty());
-}
-
-TEST(PhaseWindows, SealsRightAfterTheDependencyThatFillsTheVolume) {
-  cc::FlightRecorder r(phase_options(100));
-  r.add(0, 1, 60, ci::kNoLoop);
-  EXPECT_TRUE(r.phase_windows().epochs.empty());
-  r.add(0, 1, 60, ci::kNoLoop);  // crosses 100
-  const cc::EpochTimeline t = r.phase_windows();
-  ASSERT_EQ(t.epochs.size(), 1u);
-  EXPECT_EQ(t.epochs[0].dense(4).at(0, 1), 120u);
-  EXPECT_EQ(t.epochs[0].reason, cc::EpochSeal::kVolume);
-}
-
-TEST(PhaseWindows, FinalizeSealsPartialWindowOnce) {
-  cc::FlightRecorder r(phase_options(1000));
-  r.add(1, 2, 10, ci::kNoLoop);
-  r.flush(cc::EpochSeal::kCheckpoint);  // an epoch boundary only
-  EXPECT_TRUE(r.phase_windows().epochs.empty());
-  r.flush(cc::EpochSeal::kFinalize);
-  EXPECT_EQ(r.phase_windows().epochs.size(), 1u);
-  r.flush(cc::EpochSeal::kFinalize);  // idempotent when nothing new arrived
-  EXPECT_EQ(r.phase_windows().epochs.size(), 1u);
-}
-
-TEST(PhaseWindows, SingleThreadAccessCountsAreExact) {
-  // No access trigger, so counts coalesce 64 at a time; the sealing
-  // thread's unpublished tail still lands in the window it belongs to.
-  cc::FlightRecorder r(phase_options(100));
-  for (int i = 0; i < 10; ++i) r.count_access();
-  r.add(0, 1, 100, ci::kNoLoop);
-  for (int i = 0; i < 70; ++i) r.count_access();  // publishes once
-  r.add(2, 3, 40, ci::kNoLoop);
-  r.flush(cc::EpochSeal::kFinalize);
-  const cc::EpochTimeline t = r.phase_windows();
-  ASSERT_EQ(t.epochs.size(), 2u);
-  EXPECT_EQ(t.epochs[0].first_access, 0u);
-  EXPECT_EQ(t.epochs[0].last_access, 10u);
-  EXPECT_EQ(t.epochs[1].first_access, 10u);
-  EXPECT_EQ(t.epochs[1].last_access, 80u);
-}
-
-TEST(PhaseWindows, LeaveTheEpochSurfaceUntouched) {
-  const std::uint64_t epochs_before =
-      commscope::telemetry::counter("recorder.epochs").value();
-  cc::FlightRecorder r(phase_options(8));
-  EXPECT_TRUE(r.active());
-  EXPECT_FALSE(r.enabled());
-  for (int i = 0; i < 100; ++i) {
-    r.count_access();
-    r.add(0, 1, 8, ci::kNoLoop);
-  }
-  r.flush(cc::EpochSeal::kFinalize);
-  EXPECT_EQ(r.phase_windows().sealed, 100u);
-  EXPECT_EQ(r.epochs_sealed(), 0u);
-  EXPECT_TRUE(r.timeline().epochs.empty());
-  EXPECT_EQ(commscope::telemetry::counter("recorder.epochs").value(),
-            epochs_before);
-}
 
 TEST(DetectPhases, EmptyTimeline) {
   EXPECT_TRUE(cc::detect_phases({}).empty());

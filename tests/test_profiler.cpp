@@ -205,11 +205,13 @@ TEST(Profiler, ThreadLoadMatchesEquationOne) {
 }
 
 TEST(Profiler, RejectsBadThreadCounts) {
+  // Validated before any member is built: 1 << 20 threads would otherwise
+  // map a read signature of terabytes and fail with std::bad_alloc first.
   cc::ProfilerOptions o;
-  o.max_threads = 0;
-  EXPECT_THROW(cc::Profiler{o}, std::invalid_argument);
-  o.max_threads = 65;
-  EXPECT_THROW(cc::Profiler{o}, std::invalid_argument);
+  for (const int threads : {0, -1, 65, 1 << 20}) {
+    o.max_threads = threads;
+    EXPECT_THROW(cc::Profiler{o}, std::invalid_argument) << threads;
+  }
 }
 
 TEST(Profiler, LoopExitAtRootIsSafe) {

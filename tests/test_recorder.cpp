@@ -1,6 +1,7 @@
 // Flight-recorder unit suite: seal triggers, the bounded overwrite-and-count
-// ring, sparse-delta fidelity, epoch-file IO under hostile input, the
-// run-to-run diff math behind `commscope diff`, and the report renderers.
+// ring, sparse-delta fidelity, phase windows, epoch-file IO under hostile
+// input, the run-to-run diff math behind `commscope diff`, and the report
+// renderers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,8 @@
 #include "core/flight_recorder.hpp"
 #include "core/timeline_report.hpp"
 #include "instrument/loop_registry.hpp"
+#include "support/memtrack.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace cc = commscope::core;
 namespace ci = commscope::instrument;
@@ -295,27 +298,65 @@ TEST(TimelineReport, EmptyTimelineRendersHint) {
 }
 
 // --- live recorder ----------------------------------------------------------
+//
+// A recorder differences the cuts its source reports. Rig stands in for the
+// profiler: add() books a dependency into hand-fed cumulative totals (as the
+// profiler books it into its region tree), then calls on_dependency().
+
+namespace {
+
+struct Rig {
+  explicit Rig(cc::FlightRecorderOptions o,
+               commscope::support::MemoryTracker* tracker = nullptr)
+      : totals{cc::Matrix(o.threads), {}, 0},
+        rec(o, [this] { return totals; }, tracker) {}
+
+  void add(int producer, int consumer, std::uint64_t bytes,
+           ci::LoopId loop) {
+    totals.matrix.at(producer, consumer) += bytes;
+    ++totals.dependencies;
+    auto share = totals.loops.begin();
+    while (share != totals.loops.end() && share->loop < loop) ++share;
+    if (share == totals.loops.end() || share->loop != loop) {
+      share = totals.loops.insert(share, cc::EpochLoopShare{loop, 0});
+    }
+    share->bytes += bytes;
+    rec.on_dependency(bytes);
+  }
+
+  cc::RecorderCut totals;
+  cc::FlightRecorder rec;
+};
+
+cc::FlightRecorderOptions phase_options(std::uint64_t window_bytes) {
+  cc::FlightRecorderOptions o;
+  o.threads = 4;
+  o.phase_window_bytes = window_bytes;
+  return o;
+}
+
+}  // namespace
 
 TEST(FlightRecorder, DisabledRecorderDoesNothing) {
-  cc::FlightRecorder r(opts(4, 0));
-  EXPECT_FALSE(r.enabled());
-  for (int i = 0; i < 100; ++i) r.count_access();
+  Rig r(opts(4, 0));
+  EXPECT_FALSE(r.rec.enabled());
+  for (int i = 0; i < 100; ++i) r.rec.count_access();
   r.add(0, 1, 8, ci::kNoLoop);
-  r.flush(cc::EpochSeal::kFinalize);
-  EXPECT_EQ(r.epochs_sealed(), 0u);
-  EXPECT_TRUE(r.timeline().epochs.empty());
+  r.rec.flush(cc::EpochSeal::kFinalize);
+  EXPECT_EQ(r.rec.epochs_sealed(), 0u);
+  EXPECT_TRUE(r.rec.timeline().epochs.empty());
 }
 
 TEST(FlightRecorder, AccessTriggerSealsEveryN) {
-  cc::FlightRecorder r(opts(4, 10));
-  ASSERT_TRUE(r.enabled());
+  Rig r(opts(4, 10));
+  ASSERT_TRUE(r.rec.enabled());
   for (int i = 0; i < 35; ++i) {
     r.add(0, 1, 8, ci::kNoLoop);
-    r.count_access();
+    r.rec.count_access();
   }
-  EXPECT_EQ(r.epochs_sealed(), 3u);
-  r.flush(cc::EpochSeal::kFinalize);  // the 5-access remainder
-  const cc::EpochTimeline t = r.timeline();
+  EXPECT_EQ(r.rec.epochs_sealed(), 3u);
+  r.rec.flush(cc::EpochSeal::kFinalize);  // the 5-access remainder
+  const cc::EpochTimeline t = r.rec.timeline();
   ASSERT_EQ(t.epochs.size(), 4u);
   EXPECT_EQ(t.epochs[0].last_access - t.epochs[0].first_access, 10u);
   EXPECT_EQ(t.epochs[3].last_access, 35u);
@@ -324,12 +365,12 @@ TEST(FlightRecorder, AccessTriggerSealsEveryN) {
 }
 
 TEST(FlightRecorder, RingOverwritesOldestAndCounts) {
-  cc::FlightRecorder r(opts(2, 1, /*ring=*/4));
+  Rig r(opts(2, 1, /*ring=*/4));
   for (int i = 0; i < 10; ++i) {
     r.add(0, 1, 8, ci::kNoLoop);
-    r.count_access();
+    r.rec.count_access();
   }
-  const cc::EpochTimeline t = r.timeline();
+  const cc::EpochTimeline t = r.rec.timeline();
   EXPECT_EQ(t.sealed, 10u);
   EXPECT_EQ(t.dropped, 6u);
   ASSERT_EQ(t.epochs.size(), 4u);
@@ -343,28 +384,33 @@ TEST(FlightRecorder, RingOverwritesOldestAndCounts) {
 TEST(FlightRecorder, EmptyFlushIsSkipped) {
   // every_accesses = 16 keeps the coalescing stride at 1, so a single
   // count_access() publishes immediately and makes the window non-empty.
-  cc::FlightRecorder r(opts(2, 16));
-  r.flush(cc::EpochSeal::kCheckpoint);
-  r.flush(cc::EpochSeal::kCheckpoint);
-  EXPECT_EQ(r.epochs_sealed(), 0u);  // no empty epoch per checkpoint
-  r.count_access();
-  r.flush(cc::EpochSeal::kCheckpoint);
-  EXPECT_EQ(r.epochs_sealed(), 1u);
+  Rig r(opts(2, 16));
+  r.rec.flush(cc::EpochSeal::kCheckpoint);
+  r.rec.flush(cc::EpochSeal::kCheckpoint);
+  EXPECT_EQ(r.rec.epochs_sealed(), 0u);  // no empty epoch per checkpoint
+  r.rec.count_access();
+  r.rec.flush(cc::EpochSeal::kCheckpoint);
+  EXPECT_EQ(r.rec.epochs_sealed(), 1u);
+  // A dependency alone (no access published) also makes the window
+  // non-empty.
+  r.add(0, 1, 8, ci::kNoLoop);
+  r.rec.flush(cc::EpochSeal::kCheckpoint);
+  EXPECT_EQ(r.rec.epochs_sealed(), 2u);
 }
 
 TEST(FlightRecorder, CoalescedCountsFoldIntoNextWindow) {
   // Coarse granularity -> stride > 1: events below the stride stay pending
   // in the thread-local slot and are invisible to flush (documented
-  // contract — matrix deltas flow through add(), never through the
-  // counter), then surface once the stride is crossed.
-  cc::FlightRecorder r(opts(2, 1000));  // stride = 1000 / 16 = 62
-  r.count_access();
-  r.flush(cc::EpochSeal::kCheckpoint);
-  EXPECT_EQ(r.epochs_sealed(), 0u);  // still locally pending
-  for (int i = 0; i < 64; ++i) r.count_access();  // crosses the stride
-  r.flush(cc::EpochSeal::kCheckpoint);
-  EXPECT_EQ(r.epochs_sealed(), 1u);
-  const cc::EpochTimeline t = r.timeline();
+  // contract — matrix deltas come from the cut, never from the counter),
+  // then surface once the stride is crossed.
+  Rig r(opts(2, 1000));  // stride = 1000 / 16 = 62
+  r.rec.count_access();
+  r.rec.flush(cc::EpochSeal::kCheckpoint);
+  EXPECT_EQ(r.rec.epochs_sealed(), 0u);  // still locally pending
+  for (int i = 0; i < 64; ++i) r.rec.count_access();  // crosses the stride
+  r.rec.flush(cc::EpochSeal::kCheckpoint);
+  EXPECT_EQ(r.rec.epochs_sealed(), 1u);
+  const cc::EpochTimeline t = r.rec.timeline();
   ASSERT_EQ(t.epochs.size(), 1u);
   EXPECT_EQ(t.epochs[0].last_access, 62u);  // one published batch
 }
@@ -372,18 +418,18 @@ TEST(FlightRecorder, CoalescedCountsFoldIntoNextWindow) {
 TEST(FlightRecorder, ReplayModeStampsReplaySeals) {
   cc::FlightRecorderOptions o = opts(2, 2);
   o.replay = true;
-  cc::FlightRecorder r(o);
+  Rig r(o);
   for (int i = 0; i < 4; ++i) {
     r.add(0, 1, 8, ci::kNoLoop);
-    r.count_access();
+    r.rec.count_access();
   }
-  const cc::EpochTimeline t = r.timeline();
+  const cc::EpochTimeline t = r.rec.timeline();
   ASSERT_EQ(t.epochs.size(), 2u);
   EXPECT_EQ(t.epochs[0].reason, cc::EpochSeal::kReplay);
 }
 
 TEST(FlightRecorder, SparseDeltasSumToAccumulatedMatrix) {
-  cc::FlightRecorder r(opts(4, 7));
+  Rig r(opts(4, 7));
   cc::Matrix want(4);
   std::uint64_t x = 88172645463325252ull;  // xorshift64
   for (int i = 0; i < 200; ++i) {
@@ -393,50 +439,28 @@ TEST(FlightRecorder, SparseDeltasSumToAccumulatedMatrix) {
     const std::uint64_t bytes = 1 + (x >> 16) % 64;
     r.add(p, c, bytes, ci::kNoLoop);
     want.at(p, c) += bytes;
-    r.count_access();
+    r.rec.count_access();
   }
-  r.flush(cc::EpochSeal::kFinalize);
-  const cc::EpochTimeline t = r.timeline();
+  r.rec.flush(cc::EpochSeal::kFinalize);
+  const cc::EpochTimeline t = r.rec.timeline();
   EXPECT_EQ(t.dropped, 0u);
   EXPECT_TRUE(t.total() == want) << "sparse deltas diverged from dense sum";
 }
 
-TEST(FlightRecorder, OutOfRangeEndpointsAreIgnored) {
-  // Each endpoint is checked against threads on its own: at 4 threads,
-  // (1, 7) and (2, -1) flatten to in-range indices of the 4x4 window and
-  // would otherwise be booked into cells (2, 3) and (1, 3).
-  cc::FlightRecorderOptions o = opts(4, 1000);
-  o.phase_window_bytes = 1 << 20;
-  cc::FlightRecorder r(o);
-  r.add(1, 7, 64, ci::kNoLoop);
-  r.add(2, -1, 64, ci::kNoLoop);
-  r.add(-1, 2, 64, ci::kNoLoop);
-  r.add(4, 0, 64, ci::kNoLoop);
-  r.add(0, 4, 64, ci::kNoLoop);
-  r.add(0, 1, 8, ci::kNoLoop);  // the one dependency inside the run
-  r.flush(cc::EpochSeal::kFinalize);
-  for (const cc::EpochTimeline& t : {r.timeline(), r.phase_windows()}) {
-    ASSERT_EQ(t.epochs.size(), 1u);
-    const cc::EpochSample& e = t.epochs[0];
-    EXPECT_EQ(e.dependencies, 1u);
-    EXPECT_EQ(e.bytes, 8u);
-    ASSERT_EQ(e.cells.size(), 1u);
-    EXPECT_EQ(e.cells[0], (cc::EpochCell{0, 1, 8}));
-  }
-}
-
-TEST(FlightRecorder, ConsumerShardsMergeIntoOneSortedSample) {
-  // Every consumer's column lives in its own shard; a seal merges them
-  // back into (producer, consumer) order with one share per loop.
-  cc::FlightRecorder r(opts(4, 1000));
+TEST(FlightRecorder, SealDifferencesCutsIntoSortedCellsAndShares) {
+  // A sample is the cut minus the mark: cells in (producer, consumer)
+  // order, one share per loop id in id order, and only loops that grew.
+  Rig r(opts(4, 1000));
   r.add(3, 2, 10, 7);
   r.add(0, 3, 20, 5);
   r.add(1, 0, 30, 7);
   r.add(0, 1, 40, ci::kNoLoop);
   r.add(0, 3, 1, 5);
-  r.flush(cc::EpochSeal::kCheckpoint);
-  const cc::EpochTimeline t = r.timeline();
-  ASSERT_EQ(t.epochs.size(), 1u);
+  r.rec.flush(cc::EpochSeal::kCheckpoint);
+  r.add(2, 1, 6, 5);
+  r.rec.flush(cc::EpochSeal::kCheckpoint);
+  const cc::EpochTimeline t = r.rec.timeline();
+  ASSERT_EQ(t.epochs.size(), 2u);
   const cc::EpochSample& e = t.epochs[0];
   EXPECT_EQ(e.dependencies, 5u);
   EXPECT_EQ(e.bytes, 101u);
@@ -446,12 +470,16 @@ TEST(FlightRecorder, ConsumerShardsMergeIntoOneSortedSample) {
   const std::vector<cc::EpochLoopShare> loops{
       {5, 21}, {7, 40}, {ci::kNoLoop, 40}};
   EXPECT_EQ(e.loops, loops);
+  const cc::EpochSample& next = t.epochs[1];
+  EXPECT_EQ(next.dependencies, 1u);
+  EXPECT_EQ(next.cells, (std::vector<cc::EpochCell>{{2, 1, 6}}));
+  EXPECT_EQ(next.loops, (std::vector<cc::EpochLoopShare>{{5, 6}}));
 }
 
 TEST(FlightRecorder, MemoryTrackerChargedAndReleased) {
   commscope::support::MemoryTracker tracker;
   {
-    cc::FlightRecorder r(opts(8, 100), &tracker);
+    Rig r(opts(8, 100), &tracker);
     EXPECT_GT(tracker.current(), 0u);
   }
   EXPECT_EQ(tracker.current(), 0u);
@@ -460,13 +488,80 @@ TEST(FlightRecorder, MemoryTrackerChargedAndReleased) {
 TEST(FlightRecorder, RingChargedPerKeptSample) {
   commscope::support::MemoryTracker tracker;
   {
-    cc::FlightRecorder r(opts(2, 1, /*ring=*/3), &tracker);
-    const std::uint64_t window = tracker.current();  // the dense window
-    r.count_access();
-    EXPECT_EQ(tracker.current(), window + sizeof(cc::EpochSample));
-    for (int i = 0; i < 5; ++i) r.count_access();  // 2 more kept, 3 dropped
-    EXPECT_EQ(r.epochs_dropped(), 3u);
-    EXPECT_EQ(tracker.current(), window + 3 * sizeof(cc::EpochSample));
+    Rig r(opts(2, 1, /*ring=*/3), &tracker);
+    const std::uint64_t mark = tracker.current();  // the mark matrix
+    r.rec.count_access();
+    EXPECT_EQ(tracker.current(), mark + sizeof(cc::EpochSample));
+    for (int i = 0; i < 5; ++i) r.rec.count_access();  // 2 kept, 3 dropped
+    EXPECT_EQ(r.rec.epochs_dropped(), 3u);
+    EXPECT_EQ(tracker.current(), mark + 3 * sizeof(cc::EpochSample));
   }
   EXPECT_TRUE(tracker.balanced());
+}
+
+// --- phase windows: the recorder's volume-sealed partition -------------------
+
+TEST(PhaseWindows, DisabledTracksNothing) {
+  Rig r(phase_options(0));
+  EXPECT_FALSE(r.rec.active());
+  r.add(0, 1, 1000, ci::kNoLoop);
+  r.rec.flush(cc::EpochSeal::kFinalize);
+  EXPECT_TRUE(r.rec.phase_windows().epochs.empty());
+}
+
+TEST(PhaseWindows, SealsRightAfterTheDependencyThatFillsTheVolume) {
+  Rig r(phase_options(100));
+  r.add(0, 1, 60, ci::kNoLoop);
+  EXPECT_TRUE(r.rec.phase_windows().epochs.empty());
+  r.add(0, 1, 60, ci::kNoLoop);  // crosses 100
+  const cc::EpochTimeline t = r.rec.phase_windows();
+  ASSERT_EQ(t.epochs.size(), 1u);
+  EXPECT_EQ(t.epochs[0].dense(4).at(0, 1), 120u);
+  EXPECT_EQ(t.epochs[0].reason, cc::EpochSeal::kVolume);
+}
+
+TEST(PhaseWindows, FinalizeSealsPartialWindowOnce) {
+  Rig r(phase_options(1000));
+  r.add(1, 2, 10, ci::kNoLoop);
+  r.rec.flush(cc::EpochSeal::kCheckpoint);  // an epoch boundary only
+  EXPECT_TRUE(r.rec.phase_windows().epochs.empty());
+  r.rec.flush(cc::EpochSeal::kFinalize);
+  EXPECT_EQ(r.rec.phase_windows().epochs.size(), 1u);
+  r.rec.flush(cc::EpochSeal::kFinalize);  // idempotent when nothing new
+  EXPECT_EQ(r.rec.phase_windows().epochs.size(), 1u);
+}
+
+TEST(PhaseWindows, SingleThreadAccessCountsAreExact) {
+  // No access trigger, so counts coalesce 64 at a time; the sealing
+  // thread's unpublished tail still lands in the window it belongs to.
+  Rig r(phase_options(100));
+  for (int i = 0; i < 10; ++i) r.rec.count_access();
+  r.add(0, 1, 100, ci::kNoLoop);
+  for (int i = 0; i < 70; ++i) r.rec.count_access();  // publishes once
+  r.add(2, 3, 40, ci::kNoLoop);
+  r.rec.flush(cc::EpochSeal::kFinalize);
+  const cc::EpochTimeline t = r.rec.phase_windows();
+  ASSERT_EQ(t.epochs.size(), 2u);
+  EXPECT_EQ(t.epochs[0].first_access, 0u);
+  EXPECT_EQ(t.epochs[0].last_access, 10u);
+  EXPECT_EQ(t.epochs[1].first_access, 10u);
+  EXPECT_EQ(t.epochs[1].last_access, 80u);
+}
+
+TEST(PhaseWindows, LeaveTheEpochSurfaceUntouched) {
+  const std::uint64_t epochs_before =
+      commscope::telemetry::counter("recorder.epochs").value();
+  Rig r(phase_options(8));
+  EXPECT_TRUE(r.rec.active());
+  EXPECT_FALSE(r.rec.enabled());
+  for (int i = 0; i < 100; ++i) {
+    r.rec.count_access();
+    r.add(0, 1, 8, ci::kNoLoop);
+  }
+  r.rec.flush(cc::EpochSeal::kFinalize);
+  EXPECT_EQ(r.rec.phase_windows().sealed, 100u);
+  EXPECT_EQ(r.rec.epochs_sealed(), 0u);
+  EXPECT_TRUE(r.rec.timeline().epochs.empty());
+  EXPECT_EQ(commscope::telemetry::counter("recorder.epochs").value(),
+            epochs_before);
 }

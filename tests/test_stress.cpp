@@ -302,43 +302,55 @@ void expect_ring_invariants(const cc::EpochTimeline& t) {
 }  // namespace
 
 // Recorder under thread churn: waves of real threads hammer the profiler
-// (cross-thread RAW traffic included) with an aggressive seal trigger and a
-// tiny epoch ring, with every thread replaced between waves. Whatever the
-// interleaving, both partitions keep the overwrite-and-count contract, and
-// the phase windows (never dropped at this scale) sum to the final matrix.
-// The timer case runs long enough for concurrent timer polls to race seals.
-// The last case drives the sharded windows at a phase volume whose stride
-// is at its cap, while an extra thread forces checkpoint seals in a loop,
-// so shard merges race the lanes' adds and their volume seals. Its lanes
-// also read the stripe their neighbour wrote in the previous wave, which
-// are dependencies on any schedule (even one CPU), so it seals several
-// windows.
+// (cross-thread RAW traffic included) with an aggressive seal trigger,
+// with every thread replaced between waves. Whatever the interleaving, both
+// partitions keep the overwrite-and-count contract, and the phase windows
+// (never dropped at this scale) sum to the final matrix. The tiny-ring
+// cases force overwrites; the timer case runs long enough for concurrent
+// timer polls to race seals. The never-overwriting cases check that the
+// epochs sum to the final matrix and the final dependency count exactly,
+// because each seal differences the region tree against the previous cut
+// while other lanes keep adding; one of them does so over spinlocked
+// sparse region matrices. The last case seals at a phase volume whose
+// stride is at its cap, while an extra thread forces checkpoint seals in a
+// loop, so tree walks race the lanes' adds and their volume seals. Its
+// lanes also read the stripe their neighbour wrote in the previous wave,
+// which are dependencies on any schedule (even one CPU), so it seals
+// several windows.
 TEST(FlushOrdering, EpochRingInvariantsHoldUnderThreadChurn) {
   constexpr int kLanes = 4;
   // 2 waves x 4 lanes x 8192 reads x 8 B = 8 windows of 64 KiB.
   constexpr int kStripe = 8192;
+  constexpr std::uint32_t kTinyRing = 4;
   const struct {
     std::uint64_t every_accesses;
     std::uint32_t every_millis;
     std::uint64_t phase_bytes;
     int per_lane;
     bool flusher;  ///< also stripe traffic and a checkpoint-flush thread
+    std::uint32_t ring;
+    bool sparse;   ///< sparse (spinlocked) region matrices
   } cases[] = {
-      {64, 0, 0, 400, false},
-      {0, 1, 0, 20000, false},
-      {64, 0, 256, 400, false},
-      {100000, 0, 65536, 20000, true},
+      {64, 0, 0, 400, false, kTinyRing, false},
+      {0, 1, 0, 20000, false, kTinyRing, false},
+      {64, 0, 256, 400, false, kTinyRing, false},
+      {64, 0, 256, 400, false, cc::kMaxEpochRing, false},
+      {64, 0, 256, 400, false, cc::kMaxEpochRing, true},
+      {100000, 0, 65536, 20000, true, kTinyRing, false},
   };
   for (const auto& k : cases) {
     SCOPED_TRACE("every_accesses=" + std::to_string(k.every_accesses) +
                  " every_millis=" + std::to_string(k.every_millis) +
                  " phase_bytes=" + std::to_string(k.phase_bytes) +
-                 " flusher=" + std::to_string(k.flusher));
+                 " flusher=" + std::to_string(k.flusher) +
+                 " ring=" + std::to_string(k.ring) +
+                 " sparse=" + std::to_string(k.sparse));
     cc::ProfilerOptions po = batched_profiler_options();
     po.epoch_accesses = k.every_accesses;
     po.epoch_millis = k.every_millis;
     po.phase_window_bytes = k.phase_bytes;
-    po.epoch_ring = 4;  // force overwrites
+    po.epoch_ring = k.ring;
+    po.sparse_region_matrices = k.sparse;
     cc::Profiler prof(po);
     std::atomic<bool> lanes_done{false};
     std::thread flusher;
@@ -386,9 +398,21 @@ TEST(FlushOrdering, EpochRingInvariantsHoldUnderThreadChurn) {
 
     const cc::EpochTimeline t = prof.epoch_timeline();
     expect_ring_invariants(t);
-    EXPECT_LE(t.epochs.size(), 4u);
-    if (k.every_accesses != 0) {
+    EXPECT_LE(t.epochs.size(), k.ring);
+    if (k.ring == kTinyRing && k.every_accesses != 0) {
       EXPECT_GT(t.dropped, 0u) << "ring never overwrote; trigger too lax";
+    }
+    if (k.ring != kTinyRing) {
+      ASSERT_EQ(t.dropped, 0u);
+      EXPECT_GT(t.epochs.size(), 1u);
+      const cc::ProfileStats stats = prof.stats();
+      EXPECT_GT(stats.dependencies, 0u);
+      std::uint64_t deps = 0;
+      for (const cc::EpochSample& e : t.epochs) deps += e.dependencies;
+      EXPECT_EQ(deps, stats.dependencies)
+          << "epoch dependencies do not sum to the final count";
+      EXPECT_TRUE(t.total() == prof.communication_matrix())
+          << "epochs do not sum to the final matrix";
     }
     if (k.phase_bytes != 0) {
       const cc::EpochTimeline phases = prof.recorder().phase_windows();
