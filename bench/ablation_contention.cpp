@@ -77,11 +77,18 @@ void BM_GloballyLockedDetector(benchmark::State& state) {
   run_contended(state, det);
 }
 
+// The matrix adds the way the profiler books dependencies: the calling
+// thread is the consumer, the producers vary, and the dimension is the
+// 4-thread one, where a row-major matrix packed every consumer's cells
+// into the same two cache lines.
+constexpr int kMatrixThreads = 4;
+
 void BM_LockFreeCommMatrix(benchmark::State& state) {
-  static cc::CommMatrix m(32);
+  static cc::CommMatrix m(kMatrixThreads);
   const int tid = static_cast<int>(state.thread_index());
   for (auto _ : state) {
-    for (int i = 0; i < 1024; ++i) m.add(tid, (tid + i) % 32, 8);
+    for (int i = 0; i < 1024; ++i) m.add(i % kMatrixThreads, tid, 8);
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 1024);
 }
@@ -97,10 +104,11 @@ struct LockedMatrix {
 };
 
 void BM_MutexCommMatrix(benchmark::State& state) {
-  static LockedMatrix m(32);
+  static LockedMatrix m(kMatrixThreads);
   const int tid = static_cast<int>(state.thread_index());
   for (auto _ : state) {
-    for (int i = 0; i < 1024; ++i) m.add(tid, (tid + i) % 32, 8);
+    for (int i = 0; i < 1024; ++i) m.add(i % kMatrixThreads, tid, 8);
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 1024);
 }

@@ -68,30 +68,30 @@ int Matrix::active_threads() const noexcept {
   return active;
 }
 
-CommMatrix::CommMatrix(int n)
-    : n_(n),
-      cells_(std::make_unique<std::atomic<std::uint64_t>[]>(
-          static_cast<std::size_t>(n) * static_cast<std::size_t>(n))) {
+CommMatrix::CommMatrix(int n) : n_(n), stride_(stride(n)) {
   if (n < 1) throw std::invalid_argument("CommMatrix needs n >= 1");
+  lines_ = std::make_unique<Line[]>(static_cast<std::size_t>(n_) * stride_ /
+                                    kLineCells);
   reset();
 }
 
 Matrix CommMatrix::snapshot() const {
   Matrix m(n_);
-  const std::size_t total = static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_);
-  for (std::size_t i = 0; i < total; ++i) {
-    m.at(static_cast<int>(i / static_cast<std::size_t>(n_)),
-         static_cast<int>(i % static_cast<std::size_t>(n_))) =
-        cells_[i].load(std::memory_order_relaxed);
+  for (int c = 0; c < n_; ++c) {
+    for (int p = 0; p < n_; ++p) {
+      m.at(p, c) = cell(p, c).load(std::memory_order_relaxed);
+    }
   }
   if (saturated()) m.mark_saturated();
   return m;
 }
 
 void CommMatrix::reset() noexcept {
-  const std::size_t total = static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_);
-  for (std::size_t i = 0; i < total; ++i) {
-    cells_[i].store(0, std::memory_order_relaxed);
+  const std::size_t lines = static_cast<std::size_t>(n_) * stride_ / kLineCells;
+  for (std::size_t l = 0; l < lines; ++l) {
+    for (std::atomic<std::uint64_t>& c : lines_[l].cells) {
+      c.store(0, std::memory_order_relaxed);
+    }
   }
   saturated_.store(false, std::memory_order_relaxed);
 }

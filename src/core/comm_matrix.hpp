@@ -8,12 +8,28 @@
 // consumed that thread p produced (RAW: p wrote, c read). Rows are producers,
 // columns consumers, matching the axes of Figures 6 and 7.
 //
-// CommMatrix is the concurrent accumulator: relaxed atomic counters, one
-// per cell, packed row-major with no padding. At 4 threads its 16 cells x
-// 8 B fill two cache lines, and every consumer thread writes into them, so
-// consumers falsely share lines. That costs time, not correctness: counts
-// only need eventual consistency within one program run. Matrix is the
-// plain value snapshot used by reports, metrics and classifiers.
+// CommMatrix is the concurrent accumulator: one relaxed atomic counter per
+// cell. Only a dependency's consumer thread books it (Algorithm 1 runs in
+// the thread that reads), so the cells are stored consumer-major: consumer
+// c's column holds its producers' cells contiguously, at c * stride + p.
+// The stride is n rounded up to 8 cells (one 64-byte line) and the block is
+// 64-byte aligned, so every column starts on a line of its own and no two
+// consumers ever write the same line. A row-major block would pack a
+// 4-thread matrix's 16 cells into two lines that all four consumers write.
+// The padding is charged: byte_size(n) is n * stride * 8 (+128 B at n = 4,
+// nothing at multiples of 8). snapshot() transposes back to the row-major
+// Matrix every reader uses.
+//
+// The add stays a locked fetch_add rather than a single-writer load and
+// store: the maintainer drains other threads' batches into their columns
+// (flush_all under quiescence), and the stress harness hands one logical
+// tid from thread to thread, so a column is not provably single-writer.
+// What the locked add cost at nproc threads was the wait for its line to
+// come back from another consumer's core, and in a column of its own the
+// line stays put.
+//
+// Matrix is the plain value snapshot used by reports, metrics and
+// classifiers.
 #pragma once
 
 #include <atomic>
@@ -94,7 +110,7 @@ class Matrix {
 };
 
 /// Concurrent accumulator: one relaxed atomic counter per (producer,
-/// consumer) pair.
+/// consumer) pair, in consumer-owned 64-byte-aligned columns.
 class CommMatrix {
  public:
   explicit CommMatrix(int n);
@@ -110,13 +126,11 @@ class CommMatrix {
   /// a sum past the cap and re-stores the clamp. One relaxed fetch_add plus
   /// a never-taken branch in the unsaturated (i.e. real) regime.
   void add(int producer, int consumer, std::uint64_t bytes) noexcept {
-    std::atomic<std::uint64_t>& cell =
-        cells_[static_cast<std::size_t>(producer) * static_cast<std::size_t>(n_) +
-               static_cast<std::size_t>(consumer)];
+    std::atomic<std::uint64_t>& c = cell(producer, consumer);
     const std::uint64_t sum =
-        cell.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+        c.fetch_add(bytes, std::memory_order_relaxed) + bytes;
     if (sum >= kCommCounterCap) [[unlikely]] {
-      cell.store(kCommCounterCap, std::memory_order_relaxed);
+      c.store(kCommCounterCap, std::memory_order_relaxed);
       saturated_.store(true, std::memory_order_relaxed);
     }
   }
@@ -126,18 +140,39 @@ class CommMatrix {
     return saturated_.load(std::memory_order_relaxed);
   }
 
+  /// Row-major value copy (rows producers, columns consumers).
   [[nodiscard]] Matrix snapshot() const;
 
   void reset() noexcept;
 
+  /// Bytes held, padding included: n columns of stride(n) cells.
   [[nodiscard]] static std::size_t byte_size(int n) noexcept {
-    return static_cast<std::size_t>(n) * static_cast<std::size_t>(n) *
+    return static_cast<std::size_t>(n) * stride(n) *
            sizeof(std::atomic<std::uint64_t>);
   }
 
  private:
+  static constexpr std::size_t kLineCells = 8;
+  struct alignas(64) Line {
+    std::atomic<std::uint64_t> cells[kLineCells];
+  };
+
+  /// Cells per consumer column: n rounded up to a whole cache line.
+  [[nodiscard]] static std::size_t stride(int n) noexcept {
+    return (static_cast<std::size_t>(n) + kLineCells - 1) / kLineCells *
+           kLineCells;
+  }
+
+  [[nodiscard]] std::atomic<std::uint64_t>& cell(int producer,
+                                                 int consumer) const noexcept {
+    const std::size_t i = static_cast<std::size_t>(consumer) * stride_ +
+                          static_cast<std::size_t>(producer);
+    return lines_[i / kLineCells].cells[i % kLineCells];
+  }
+
   int n_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> cells_;
+  std::size_t stride_;
+  std::unique_ptr<Line[]> lines_;
   std::atomic<bool> saturated_{false};
 };
 

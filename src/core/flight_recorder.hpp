@@ -361,8 +361,10 @@ class FlightRecorder {
   /// shared word the dependency path writes, once per volume stride.
   alignas(64) std::atomic<std::uint64_t> volume_{0};
   /// Volume at which the open phase window is due: written under mu_ by
-  /// each phase seal, read without it by every dependency.
-  std::atomic<std::uint64_t> due_{0};
+  /// each phase seal, read without it by every dependency. A line of its
+  /// own too: beside volume_, every thread's volume publish would evict it
+  /// from every other dependency path's cache.
+  alignas(64) std::atomic<std::uint64_t> due_{0};
 
   alignas(64) mutable std::mutex mu_;
   Partition epochs_;

@@ -101,25 +101,9 @@ void Profiler::on_loop_exit(int tid) {
   if (c.stack.size() > 1) c.stack.pop_back();
 }
 
-void Profiler::on_access(int tid, std::uintptr_t addr, std::uint32_t size,
-                         instrument::AccessKind kind) {
-  if (!admit_tid(tid)) return;
-  ThreadCtx& c = ctx(tid);
-  if (options_.batch_size != 0) {
-    const std::uint32_t i = c.batch_count;
-    c.batch_addr[i] = addr;
-    c.batch_meta[i] = size | (kind == instrument::AccessKind::kWrite
-                                  ? AsymmetricDetector::kMetaWriteBit
-                                  : 0u);
-    if (++c.batch_count == options_.batch_size) flush_batch(tid);
-    return;
-  }
-  if (c.stack.empty()) c.stack.push_back(&tree_.root());
-  ingest_one(tid, c, addr, size, kind);
-}
-
 void Profiler::ingest_one(int tid, ThreadCtx& c, std::uintptr_t addr,
                           std::uint32_t size, instrument::AccessKind kind) {
+  if (c.stack.empty()) c.stack.push_back(&tree_.root());
   ++c.accesses;
   recorder_.count_access();
 

@@ -139,8 +139,24 @@ class Profiler final : public instrument::AccessSink {
   void on_thread_begin(int tid) override;
   void on_loop_enter(int tid, instrument::LoopId id) override;
   void on_loop_exit(int tid) override;
+  /// The ring append, defined here so a wrapping sink (GuardedSink) inlines
+  /// it: admit, two stores, and a drain when the ring fills. Unbatched, it
+  /// runs Algorithm 1 at once (ingest_one).
   void on_access(int tid, std::uintptr_t addr, std::uint32_t size,
-                 instrument::AccessKind kind) override;
+                 instrument::AccessKind kind) override {
+    if (!admit_tid(tid)) return;
+    ThreadCtx& c = ctx(tid);
+    if (options_.batch_size == 0) {
+      ingest_one(tid, c, addr, size, kind);
+      return;
+    }
+    const std::uint32_t i = c.batch_count;
+    c.batch_addr[i] = addr;
+    c.batch_meta[i] = size | (kind == instrument::AccessKind::kWrite
+                                  ? AsymmetricDetector::kMetaWriteBit
+                                  : 0u);
+    if (++c.batch_count == options_.batch_size) flush_batch(tid);
+  }
   void finalize() override;
   /// Drains `tid`'s pending micro-batch through the detector. Callable only
   /// from the thread driving `tid` (or while it is quiescent); a no-op when
@@ -349,7 +365,8 @@ class Profiler final : public instrument::AccessSink {
 
   /// Runs Algorithm 1 (plus attribution/classification) for one access.
   /// Shared verbatim by the unbatched hot path and the generic batch drain,
-  /// which is what makes the two modes bit-identical by construction.
+  /// which is what makes the two modes bit-identical by construction. Out
+  /// of line, like flush_batch, so the inlined on_access stays small.
   void ingest_one(int tid, ThreadCtx& c, std::uintptr_t addr,
                   std::uint32_t size, instrument::AccessKind kind);
 

@@ -306,7 +306,9 @@ void GuardedSink::on_access(int tid, std::uintptr_t addr, std::uint32_t size,
     telemetry::counter("sink.reentrant_drops").add(1);
     return;
   }
-  t_last_tid = tid;  // remembered for the thread-exit micro-batch drain
+  // Remembered for the thread-exit micro-batch drain; a thread keeps its
+  // tid, so the store almost never runs.
+  if (t_last_tid != tid) [[unlikely]] t_last_tid = tid;
   if (precise_) {
     (void)begin_event();
     if (guard_ != nullptr && guard_->suppress_accesses()) {

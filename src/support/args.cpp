@@ -88,6 +88,12 @@ std::int64_t ArgParser::get_int_strict(const std::string& name,
   return v;
 }
 
+void ArgParser::reject_range(const std::string& name, std::int64_t value,
+                             const std::string& lo, const std::string& hi) {
+  malformed(name, std::to_string(value),
+            ("an integer in [" + lo + ", " + hi + "]").c_str());
+}
+
 double ArgParser::get_double_strict(const std::string& name,
                                     double fallback) const {
   const auto it = flags_.find(name);

@@ -9,10 +9,13 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace commscope::support {
@@ -53,6 +56,23 @@ class ArgParser {
   [[nodiscard]] std::int64_t get_int_strict(const std::string& name,
                                             std::int64_t fallback) const;
 
+  /// get_int_strict narrowed to the field it sets: also throws
+  /// std::invalid_argument ("--name: expected an integer in [lo, hi], got
+  /// 'X'") when T cannot hold the value, so an unsigned field rejects a
+  /// negative count and a 32-bit one rejects 2^32, where a cast would wrap
+  /// them into a different, valid-looking setting.
+  template <typename T>
+  [[nodiscard]] T get_int_as(const std::string& name, T fallback) const {
+    static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+    const std::int64_t v =
+        get_int_strict(name, static_cast<std::int64_t>(fallback));
+    if (!std::in_range<T>(v)) {
+      reject_range(name, v, std::to_string(std::numeric_limits<T>::min()),
+                   std::to_string(std::numeric_limits<T>::max()));
+    }
+    return static_cast<T>(v);
+  }
+
   /// Like get_int_strict for floating-point values. Accepts byte suffixes
   /// nowhere — plain decimal only.
   [[nodiscard]] double get_double_strict(const std::string& name,
@@ -69,6 +89,10 @@ class ArgParser {
 
  private:
   void parse(const std::vector<std::string>& args);
+  [[noreturn]] static void reject_range(const std::string& name,
+                                        std::int64_t value,
+                                        const std::string& lo,
+                                        const std::string& hi);
 
   std::set<std::string> bool_flags_;
   std::vector<std::string> positional_;

@@ -1,6 +1,9 @@
 // Flag-parser tests for the commscope CLI.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+
 #include "support/args.hpp"
 
 namespace cs = commscope::support;
@@ -56,6 +59,29 @@ TEST(ArgParser, NegativeAndFloatValues) {
   const cs::ArgParser args({"--offset=-12", "--rate=0.001"});
   EXPECT_EQ(args.get_int("offset", 0), -12);
   EXPECT_DOUBLE_EQ(args.get_double("rate", 0.0), 0.001);
+}
+
+TEST(ArgParser, IntAsRejectsValuesTheTargetCannotHold) {
+  const cs::ArgParser args({"--threads=4294967300", "--batch=-1",
+                            "--ring=4294967295", "--depth=-12", "--n=abc"});
+  EXPECT_THROW((void)args.get_int_as<int>("threads", 8), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int_as<std::uint32_t>("batch", 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)args.get_int_as<std::uint64_t>("batch", 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)args.get_int_as<std::int32_t>("ring", 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)args.get_int_as<int>("n", 0), std::invalid_argument);
+  EXPECT_EQ(args.get_int_as<std::uint32_t>("ring", 0), 4294967295u);
+  EXPECT_EQ(args.get_int_as<int>("depth", 0), -12);
+  EXPECT_EQ(args.get_int_as<std::uint64_t>("threads", 0), 4294967300u);
+  EXPECT_EQ(args.get_int_as<std::uint32_t>("absent", 7), 7u);
+  try {
+    (void)args.get_int_as<std::uint32_t>("batch", 0);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "--batch: expected an integer in [0, 4294967295], got '-1'");
+  }
 }
 
 TEST(ArgParser, UnknownFlagDetection) {

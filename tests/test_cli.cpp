@@ -155,6 +155,32 @@ TEST(CliErrors, MalformedFlagValueIsUsageError) {
   const RunResult wide = run_cli("run fft --threads=1048576");
   EXPECT_EQ(wide.exit_code, 2);
   EXPECT_NE(wide.output.find("1..64 threads"), std::string::npos);
+  // Past what the field holds: rejected, not wrapped into a valid setting
+  // (2^32 + 4 threads would profile at 4, 2^32 + 64 would batch by 64, and
+  // 2^32 + 1 would keep a 1-slot epoch ring).
+  for (const char* flags :
+       {"--threads=4294967300", "--batch=4294967360",
+        "--epoch-every=1000 --epoch-ring=4294967297", "--batch=-1",
+        "--slots=-1", "--phases=-65536", "--epoch-every=-1000",
+        "--event-budget=-1", "--heatmaps=4294967297",
+        // A usage error even inside best-effort shipping.
+        "--ship-to=/tmp/commscope_cli_narrow.sock --ship-session=-1"}) {
+    const RunResult narrow =
+        run_cli(std::string("run fft --scale=dev --threads=4 ") + flags);
+    EXPECT_EQ(narrow.exit_code, 2) << flags << "\n" << narrow.output;
+    EXPECT_NE(narrow.output.find("expected an integer in ["),
+              std::string::npos)
+        << flags;
+  }
+  const RunResult seed = run_cli("stress --seed=-1 --steps=16");
+  EXPECT_EQ(seed.exit_code, 2) << seed.output;
+  const std::string matrix = "/tmp/commscope_cli_narrow.matrix";
+  ASSERT_EQ(run_cli("run fft --threads=4 -q --save-matrix=" + matrix).exit_code,
+            0);
+  const RunResult topo = run_cli("map " + matrix + " --cores=4294967304");
+  EXPECT_EQ(topo.exit_code, 2) << topo.output;
+  EXPECT_NE(topo.output.find("--cores"), std::string::npos);
+  std::remove(matrix.c_str());
 }
 
 TEST(CliErrors, CorruptMatrixFileFailsWithDiagnostic) {

@@ -118,8 +118,59 @@ TEST(CommMatrix, ConcurrentAddsLoseNothing) {
   }
 }
 
+TEST(CommMatrix, ConsumerColumnsAddConcurrentlyLoseNothing) {
+  // The profiler's pattern: each thread books as the consumer, from every
+  // producer, into its own column.
+  constexpr int kThreads = 4;
+  constexpr int kIters = 20000;
+  cc::CommMatrix cm(kThreads);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kThreads; ++c) {
+    threads.emplace_back([&cm, c] {
+      for (int i = 0; i < kIters; ++i) {
+        for (int p = 0; p < kThreads; ++p) cm.add(p, c, 1 + p);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  const cc::Matrix m = cm.snapshot();
+  for (int p = 0; p < kThreads; ++p) {
+    for (int c = 0; c < kThreads; ++c) {
+      EXPECT_EQ(m.at(p, c), static_cast<std::uint64_t>(kIters) * (1 + p))
+          << p << "," << c;
+    }
+  }
+}
+
+TEST(CommMatrix, SnapshotRoundTripsEveryCell) {
+  // Cells live consumer-major with padded columns; the snapshot must put
+  // each one back at (producer, consumer), whatever n is against the
+  // 8-cell line.
+  for (const int n : {1, 3, 4, 8, 9, 64}) {
+    cc::CommMatrix cm(n);
+    for (int p = 0; p < n; ++p) {
+      for (int c = 0; c < n; ++c) {
+        cm.add(p, c, static_cast<std::uint64_t>(p * n + c + 1));
+      }
+    }
+    const cc::Matrix m = cm.snapshot();
+    ASSERT_EQ(m.size(), n);
+    for (int p = 0; p < n; ++p) {
+      for (int c = 0; c < n; ++c) {
+        EXPECT_EQ(m.at(p, c), static_cast<std::uint64_t>(p * n + c + 1))
+            << "n=" << n << " (" << p << "," << c << ")";
+      }
+    }
+  }
+}
+
 TEST(CommMatrix, ByteSizeFormula) {
+  // n columns of n cells rounded up to a 64-byte line.
+  EXPECT_EQ(cc::CommMatrix::byte_size(1), 64u);
+  EXPECT_EQ(cc::CommMatrix::byte_size(4), 256u);
+  EXPECT_EQ(cc::CommMatrix::byte_size(9), 9u * 16u * 8u);
   EXPECT_EQ(cc::CommMatrix::byte_size(32), 32u * 32u * 8u);
+  EXPECT_EQ(cc::CommMatrix::byte_size(64), 64u * 64u * 8u);
 }
 
 // --- saturation contract ----------------------------------------------------

@@ -356,8 +356,7 @@ int write_observability_outputs(const cs::ArgParser& args, std::ostream& log) {
 cc::ProfilerOptions profiler_options(const cs::ArgParser& args, int threads) {
   cc::ProfilerOptions o;
   o.max_threads = threads;
-  o.signature_slots =
-      static_cast<std::size_t>(args.get_int_strict("slots", 1 << 20));
+  o.signature_slots = args.get_int_as<std::size_t>("slots", 1 << 20);
   o.fp_rate = args.get_double_strict("fp-rate", 0.001);
   const std::string backend = args.get("backend", "signature");
   if (backend != "signature" && backend != "exact") {
@@ -367,15 +366,11 @@ cc::ProfilerOptions profiler_options(const cs::ArgParser& args, int threads) {
                                  : cc::Backend::kAsymmetricSignature;
   o.classify_dependences = args.has("classify");
   o.sparse_region_matrices = args.has("sparse");
-  o.phase_window_bytes =
-      static_cast<std::uint64_t>(args.get_int_strict("phases", 0));
-  o.batch_size = static_cast<std::uint32_t>(args.get_int_strict("batch", 0));
-  o.epoch_accesses =
-      static_cast<std::uint64_t>(args.get_int_strict("epoch-every", 0));
-  o.epoch_millis =
-      static_cast<std::uint32_t>(args.get_int_strict("epoch-ms", 0));
-  o.epoch_ring =
-      static_cast<std::uint32_t>(args.get_int_strict("epoch-ring", 0));
+  o.phase_window_bytes = args.get_int_as<std::uint64_t>("phases", 0);
+  o.batch_size = args.get_int_as<std::uint32_t>("batch", 0);
+  o.epoch_accesses = args.get_int_as<std::uint64_t>("epoch-every", 0);
+  o.epoch_millis = args.get_int_as<std::uint32_t>("epoch-ms", 0);
+  o.epoch_ring = args.get_int_as<std::uint32_t>("epoch-ring", 0);
   o.perf = args.has("perf");
   return o;
 }
@@ -409,11 +404,13 @@ int write_epochs_output(const cs::ArgParser& args, cc::Profiler& profiler,
 void maybe_ship_epochs(const cs::ArgParser& args, cc::Profiler& profiler,
                        int threads, std::ostream& log) {
   if (!args.has("ship-to")) return;
+  // Read outside the try: a malformed session id is a usage error (exit 2),
+  // not a shipping failure.
+  const auto session = args.get_int_as<std::uint64_t>("ship-session", 0);
   try {
     csv::ShipperOptions opts;
     opts.socket_path = args.get("ship-to");
-    opts.session_id = static_cast<std::uint64_t>(
-        args.get_int_strict("ship-session", 0));
+    opts.session_id = session;
 #if defined(__unix__) || defined(__APPLE__)
     if (opts.session_id == 0) {
       opts.session_id = static_cast<std::uint64_t>(::getpid());
@@ -486,13 +483,12 @@ ResilienceStack make_resilience(const cs::ArgParser& args,
 
   cr::GuardOptions gopts;
   gopts.mem_budget_bytes = args.get_bytes_strict("mem-budget", 0);
-  gopts.event_budget =
-      static_cast<std::uint64_t>(args.get_int_strict("event-budget", 0));
+  gopts.event_budget = args.get_int_as<std::uint64_t>("event-budget", 0);
 
   cr::GuardedSink::Options sopts;
   sopts.checkpoint_path = args.get("checkpoint", "");
-  sopts.checkpoint_every = static_cast<std::uint64_t>(
-      args.get_int_strict("checkpoint-every", 65536));
+  sopts.checkpoint_every =
+      args.get_int_as<std::uint64_t>("checkpoint-every", 65536);
   if (sopts.checkpoint_path.empty()) sopts.checkpoint_every = 0;
 
   const double timeout = args.get_double_strict("timeout", 0.0);
@@ -532,7 +528,7 @@ ResilienceStack make_resilience(const cs::ArgParser& args,
 int emit_results(const cs::ArgParser& args, cc::Profiler& profiler,
                  int threads, std::ostream& log) {
   cc::ReportOptions ropts;
-  ropts.heatmap_top = static_cast<int>(args.get_int_strict("heatmaps", 0));
+  ropts.heatmap_top = args.get_int_as<int>("heatmaps", 0);
   ropts.hide_quiet_regions = true;
   cc::print_report(log, profiler, ropts);
 
@@ -601,7 +597,7 @@ int cmd_run(const cs::ArgParser& args) {
   }
   const bool quiet = args.has("quiet");
   std::ostream& log = out_stream(quiet);
-  const int threads = static_cast<int>(args.get_int_strict("threads", 8));
+  const int threads = args.get_int_as<int>("threads", 8);
   const cs::Scale scale = parse_scale(args.get("scale", "dev"));
   maybe_enable_trace(args);
   auto profiler = std::make_unique<cc::Profiler>(profiler_options(args, threads));
@@ -673,8 +669,7 @@ int cmd_replay(const cs::ArgParser& args) {
   const std::vector<ci::TraceEvent> events = ci::read_trace(in);
   int max_tid = 0;
   for (const ci::TraceEvent& e : events) max_tid = std::max(max_tid, int{e.tid});
-  const int threads = static_cast<int>(
-      args.get_int_strict("threads", std::max(2, max_tid + 1)));
+  const int threads = args.get_int_as<int>("threads", std::max(2, max_tid + 1));
   std::ostream& log = out_stream(args.has("quiet"));
   maybe_enable_trace(args);
   cc::ProfilerOptions popts = profiler_options(args, threads);
@@ -777,7 +772,7 @@ int cmd_resume(const cs::ArgParser& args) {
     std::cout << "detected pattern: " << cp::to_string(clf.predict(program))
               << "\n";
   }
-  const int top = static_cast<int>(args.get_int_strict("heatmaps", 0));
+  const int top = args.get_int_as<int>("heatmaps", 0);
   if (top > 0 && program.total() > 0) {
     cs::print_heatmap(std::cout, program.cells(),
                       static_cast<std::size_t>(program.size()), "program");
@@ -815,9 +810,9 @@ int cmd_map(const cs::ArgParser& args) {
     return 1;
   }
   const cc::Matrix m = cc::read_matrix(in);
-  const cm::Topology topo(static_cast<int>(args.get_int_strict("sockets", 2)),
-                          static_cast<int>(args.get_int_strict("cores", 8)),
-                          static_cast<int>(args.get_int_strict("smt", 1)));
+  const cm::Topology topo(args.get_int_as<int>("sockets", 2),
+                          args.get_int_as<int>("cores", 8),
+                          args.get_int_as<int>("smt", 1));
   if (m.size() > topo.hardware_threads()) {
     std::cerr << "matrix has " << m.size() << " threads but topology only "
               << topo.hardware_threads() << " hardware threads\n";
@@ -846,13 +841,12 @@ int cmd_stress(const cs::ArgParser& args) {
   std::ostream& log = out_stream(args.has("quiet"));
   maybe_enable_trace(args);
   cr::StressOptions base;
-  base.steps = static_cast<std::uint64_t>(args.get_int_strict("steps", 4096));
+  base.steps = args.get_int_as<std::uint64_t>("steps", 4096);
   base.sampling = args.get_double_strict("sampling", 1.0);
   base.churn = !args.has("no-churn");
-  base.batch = static_cast<std::uint32_t>(args.get_int_strict("batch", 0));
+  base.batch = args.get_int_as<std::uint32_t>("batch", 0);
 
-  const std::uint64_t first_seed =
-      static_cast<std::uint64_t>(args.get_int_strict("seed", 1));
+  const std::uint64_t first_seed = args.get_int_as<std::uint64_t>("seed", 1);
   const std::int64_t seed_count = args.get_int_strict("seeds", 1);
   if (seed_count < 1) {
     throw std::invalid_argument("--seeds: expected a positive count");
@@ -865,9 +859,9 @@ int cmd_stress(const cs::ArgParser& args) {
   // A single --threads=T pins the dimension; otherwise sweep the default
   // grid the acceptance contract names.
   std::vector<int> thread_counts;
-  const std::int64_t threads = args.get_int_strict("threads", 0);
+  const int threads = args.get_int_as<int>("threads", 0);
   if (threads != 0) {
-    thread_counts.push_back(static_cast<int>(threads));
+    thread_counts.push_back(threads);
   } else {
     thread_counts = {2, 4, 8};
   }
@@ -1084,7 +1078,7 @@ int cmd_top(const cs::ArgParser& args) {
               << "' (try: commscope list)\n";
     return 1;
   }
-  const int threads = static_cast<int>(args.get_int_strict("threads", 8));
+  const int threads = args.get_int_as<int>("threads", 8);
   const cs::Scale scale = parse_scale(args.get("scale", "dev"));
   const auto interval = std::chrono::milliseconds(
       std::max<std::int64_t>(20, args.get_int_strict("interval", 500)));
@@ -1276,8 +1270,7 @@ int cmd_diff(const cs::ArgParser& args) {
     // claim — CI pins it with --floor-speedup=1.0 at the default batch 64.
     cc::BenchFloor floor;
     floor.min_speedup = args.get_double_strict("floor-speedup", 0.0);
-    floor.batch = static_cast<std::uint32_t>(
-        args.get_double_strict("floor-batch", floor.batch));
+    floor.batch = args.get_int_as<std::uint32_t>("floor-batch", floor.batch);
     const cc::BenchDiff d = cc::diff_bench(text_a, text_b, threshold, floor);
     log << "bench diff: " << path_a << " (baseline) vs " << path_b << "\n";
     for (const cc::BenchDelta& p : d.points) {
@@ -1402,14 +1395,10 @@ int cmd_serve(const cs::ArgParser& args) {
   csv::ServeOptions opts;
   opts.socket_path = socket;
   opts.mem_budget_bytes = args.get_bytes_strict("mem-budget", 0);
-  opts.reap_ms =
-      static_cast<std::uint32_t>(args.get_int_strict("reap-ms", 5000));
-  opts.max_sessions =
-      static_cast<std::uint32_t>(args.get_int_strict("max-sessions", 64));
-  opts.exit_after_connections =
-      static_cast<std::uint64_t>(args.get_int_strict("sessions", 0));
-  opts.idle_exit_ms =
-      static_cast<std::uint32_t>(args.get_int_strict("idle-exit-ms", 0));
+  opts.reap_ms = args.get_int_as<std::uint32_t>("reap-ms", 5000);
+  opts.max_sessions = args.get_int_as<std::uint32_t>("max-sessions", 64);
+  opts.exit_after_connections = args.get_int_as<std::uint64_t>("sessions", 0);
+  opts.idle_exit_ms = args.get_int_as<std::uint32_t>("idle-exit-ms", 0);
   opts.state_dir = args.get("state-dir", "");
   if (args.has("fsync")) {
     const std::string policy = args.get("fsync");
@@ -1421,10 +1410,8 @@ int cmd_serve(const cs::ArgParser& args) {
     }
     opts.fsync_policy = *parsed;
   }
-  opts.fsync_every =
-      static_cast<std::uint32_t>(args.get_int_strict("fsync-n", 256));
-  opts.compact_every =
-      static_cast<std::uint64_t>(args.get_int_strict("compact-every", 4096));
+  opts.fsync_every = args.get_int_as<std::uint32_t>("fsync-n", 256);
+  opts.compact_every = args.get_int_as<std::uint64_t>("compact-every", 4096);
   opts.no_recover = args.has("no-recover");
   opts.drain_flag = &g_drain_requested;
   opts.log = quiet ? nullptr : &std::cout;
