@@ -104,11 +104,11 @@ void Profiler::on_loop_exit(int tid) {
 void Profiler::ingest_one(int tid, ThreadCtx& c, std::uintptr_t addr,
                           std::uint32_t size, instrument::AccessKind kind) {
   if (c.stack.empty()) c.stack.push_back(&tree_.root());
-  ++c.accesses;
+  count_own(c.accesses, 1);
   recorder_.count_access();
 
   if (kind == instrument::AccessKind::kWrite) {
-    ++c.writes;
+    count_own(c.writes, 1);
     if (options_.classify_dependences) {
       sigmem::ExactSignature::WriteObservation obs;
       if (auto* det = std::get_if<AsymmetricDetector>(&backend_)) {
@@ -127,7 +127,7 @@ void Profiler::ingest_one(int tid, ThreadCtx& c, std::uintptr_t addr,
     return;
   }
 
-  ++c.reads;
+  count_own(c.reads, 1);
   std::optional<int> producer;
   if (options_.classify_dependences) {
     sigmem::ExactSignature::ReadObservation obs;
@@ -176,9 +176,9 @@ void Profiler::flush_batch(int tid) {
     std::int8_t dep_producer[kMaxBatchSize];
     const AsymmetricDetector::DrainResult r = det->drain_batch(
         c.batch_addr, c.batch_meta, n, tid, dep_evt, dep_producer);
-    c.accesses += n;
-    c.writes += r.writes;
-    c.reads += n - r.writes;
+    count_own(c.accesses, n);
+    count_own(c.writes, r.writes);
+    count_own(c.reads, n - r.writes);
     if (recorder_.active()) {
       // Epoch seals and phase windows cut the region matrices and the
       // dependency count mid-stream, so both advance one dependency at a
@@ -397,9 +397,9 @@ ProfileStats Profiler::stats() const {
   ProfileStats s;
   for (int t = 0; t < options_.max_threads; ++t) {
     const ThreadCtx& c = contexts_[static_cast<std::size_t>(t)];
-    s.accesses += c.accesses;
-    s.reads += c.reads;
-    s.writes += c.writes;
+    s.accesses += c.accesses.load(std::memory_order_relaxed);
+    s.reads += c.reads.load(std::memory_order_relaxed);
+    s.writes += c.writes.load(std::memory_order_relaxed);
     s.dependencies += c.dependencies.load(std::memory_order_relaxed);
   }
   return s;

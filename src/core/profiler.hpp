@@ -112,7 +112,7 @@ struct DependenceCounts {
 /// report's "degradations" provenance section, so Figure 2/5-style numbers
 /// from a degraded run are never silently wrong.
 struct DegradationEvent {
-  std::uint64_t event_index = 0;  ///< event count when the downshift fired
+  std::uint64_t event_index = 0;  ///< accesses profiled (the event index)
   std::uint64_t mem_before = 0;   ///< tracked profiler bytes before
   std::uint64_t mem_after = 0;    ///< tracked profiler bytes after
   std::string reason;             ///< what tripped (budget, injected fault, ...)
@@ -227,6 +227,8 @@ class Profiler final : public instrument::AccessSink {
     return perf_.get();
   }
 
+  /// Race-free while a run is live (`top` polls it); buffered accesses count
+  /// once drained. With every batch drained, `accesses` is the event index.
   [[nodiscard]] ProfileStats stats() const;
 
   /// Events dropped because their tid was outside [0, max_threads): calls
@@ -314,9 +316,10 @@ class Profiler final : public instrument::AccessSink {
     /// region that was innermost across the segment. Untouched when the
     /// perf engine is off.
     telemetry::PerfDelta perf_last;
-    std::uint64_t accesses = 0;
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
+    /// Written only by the owning thread (count_own); read by stats().
+    std::atomic<std::uint64_t> accesses{0};
+    std::atomic<std::uint64_t> reads{0};
+    std::atomic<std::uint64_t> writes{0};
     /// Written only by the owning thread (see count_dependencies); read by
     /// whichever thread seals a recorder window.
     std::atomic<std::uint64_t> dependencies{0};
@@ -353,6 +356,13 @@ class Profiler final : public instrument::AccessSink {
   /// into the whole-program matrix and into bytes per loop id, plus the
   /// threads' dependency counts.
   [[nodiscard]] RecorderCut recorder_cut() const;
+
+  /// Adds `k` to one of the calling thread's own counters: a plain load and
+  /// store, no read-modify-write, as only the owning thread writes it.
+  static void count_own(std::atomic<std::uint64_t>& n,
+                        std::uint64_t k) noexcept {
+    n.store(n.load(std::memory_order_relaxed) + k, std::memory_order_relaxed);
+  }
 
   /// Books `k` dependencies the calling thread already added to its region
   /// matrix. A plain load and store, no read-modify-write: only the owning

@@ -39,7 +39,7 @@ namespace commscope::resilience {
 
 /// Run provenance attached to every snapshot.
 struct CheckpointMeta {
-  std::uint64_t events = 0;        ///< events processed when snapshotted
+  std::uint64_t events = 0;  ///< the event index: always stats.accesses
   std::string state = "partial";   ///< "partial" | "complete"
   std::string reason = "periodic"; ///< periodic|final|signal:SIG*|watchdog|...
 };

@@ -87,11 +87,22 @@ std::optional<FaultPlan> FaultInjector::plan_from_env() {
   return parse_plan(spec);
 }
 
+std::uint64_t FaultInjector::next_event_fault(
+    std::uint64_t index) const noexcept {
+  std::uint64_t next = ~std::uint64_t{0};
+  for (const std::uint64_t at : {plan_.sleep_at_event, plan_.kill_at_event}) {
+    if (at > index && at < next) next = at;
+  }
+  return next;
+}
+
 void FaultInjector::on_event(std::uint64_t index) {
-  if (plan_.sleep_at_event != 0 && index == plan_.sleep_at_event) {
+  if (plan_.sleep_at_event != 0 && index >= plan_.sleep_at_event &&
+      !sleep_done_.exchange(true, std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(plan_.sleep_ms));
   }
-  if (plan_.kill_at_event != 0 && index == plan_.kill_at_event) {
+  if (plan_.kill_at_event != 0 && index >= plan_.kill_at_event &&
+      !kill_done_.exchange(true, std::memory_order_relaxed)) {
     if (mode_ == KillMode::kThrow) {
       throw InjectedCrash("injected crash at event " + std::to_string(index));
     }

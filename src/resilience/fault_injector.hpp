@@ -5,10 +5,10 @@
 // fail the Nth tracked allocation (driving the ResourceGuard's degradation
 // ladder), truncate or bit-flip a checkpoint payload as it is written
 // (simulating torn/corrupt writes, driving the loader's CRC rejection), and
-// kill or stall a run at exactly event N (driving the emergency-dump and
-// watchdog paths). All decisions are deterministic: positions come from the
-// plan, bit choices from support::SplitMix64 seeded by the plan, so every
-// failing test replays identically.
+// kill or stall a run after its Nth profiled access (driving the
+// emergency-dump and watchdog paths). All decisions are deterministic:
+// positions come from the plan, bit choices from support::SplitMix64 seeded
+// by the plan, so every failing test replays identically.
 //
 // Plans come from code (tests) or from the COMMSCOPE_FAULT environment
 // variable (CLI end-to-end tests), e.g.:
@@ -37,8 +37,9 @@ class InjectedCrash : public std::runtime_error {
 /// What the injector should do, all positions 1-based and 0 = disabled.
 struct FaultPlan {
   std::uint64_t fail_alloc_at = 0;      ///< Nth tracked allocation fails
-  std::uint64_t kill_at_event = 0;      ///< crash at event N
-  std::uint64_t sleep_at_event = 0;     ///< stall at event N (watchdog tests)
+  // Events are profiled accesses: the fault fires after the Nth one.
+  std::uint64_t kill_at_event = 0;      ///< crash after event N
+  std::uint64_t sleep_at_event = 0;     ///< stall after event N (watchdog)
   std::uint64_t sleep_ms = 500;         ///< stall duration
   std::uint64_t truncate_write_at = 0;  ///< cut a written payload to K bytes
   std::uint64_t corrupt_write_at = 0;   ///< flip one bit in payload byte K
@@ -117,8 +118,13 @@ class FaultInjector final : public support::AllocObserver {
 
   // --- event-stream faults -------------------------------------------------
 
-  /// Called with each 1-based event index; kills (per KillMode) or stalls
-  /// when the index matches the plan.
+  /// The first kill or sleep position past event `index` (all ones when none
+  /// is left): the next mark at which GuardedSink calls on_event().
+  [[nodiscard]] std::uint64_t next_event_fault(
+      std::uint64_t index) const noexcept;
+
+  /// Called with the event index at a due mark; stalls, then kills (per
+  /// KillMode), each fault once, at the first index at or past its position.
   void on_event(std::uint64_t index);
 
   // --- stream-write faults -------------------------------------------------
@@ -134,6 +140,8 @@ class FaultInjector final : public support::AllocObserver {
   std::atomic<std::uint64_t> allocs_{0};
   std::atomic<bool> alloc_failed_{false};
   std::atomic<bool> write_fault_done_{false};
+  std::atomic<bool> sleep_done_{false};
+  std::atomic<bool> kill_done_{false};
 };
 
 }  // namespace commscope::resilience

@@ -39,12 +39,6 @@ bool register_membarrier() noexcept { return false; }
 void membarrier_sync() noexcept {}
 #endif
 
-std::uint64_t round_up_pow2(std::uint64_t v) noexcept {
-  std::uint64_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
 // The most recently constructed live sink; ThreadRegistry flush hooks (fired
 // at exit()/fork()) reach it through this pointer because hooks are plain
 // function pointers. One process-wide slot matches the CLI's one-run-at-a-
@@ -63,6 +57,22 @@ void flush_active_sink() noexcept {
 // owns; the registry thread-exit hook drains exactly that one.
 thread_local int t_last_tid = -1;
 
+/// The event clock's per-thread half, tied to one sink by generation. Not
+/// the recorder's TlPending: a slot resets when it last served another
+/// owner, so a thread alternating between the two would drop counts.
+struct TlClock {
+  std::uint64_t gen = 0;
+  std::uint64_t seen = 0;
+  std::uint32_t pending = 0;
+};
+thread_local TlClock t_clock;
+
+/// Monotonic source of sink generations (0 stays "no sink").
+std::atomic<std::uint64_t> g_sink_gen{0};
+
+/// Widest clock stride (the recorder's kMaxCountStride).
+constexpr std::uint64_t kMaxClockStride = 64;
+
 void drain_active_sink_thread(int /*registry_tid*/) noexcept {
   if (t_last_tid < 0) return;
   if (GuardedSink* sink = g_active_sink.load(std::memory_order_acquire)) {
@@ -80,28 +90,30 @@ GuardedSink::GuardedSink(core::Profiler& profiler, ResourceGuard* guard,
       options_(std::move(options)),
       injector_(injector),
       crash_(crash),
-      gate_((guard != nullptr && guard->enabled()) ||
-            options_.checkpoint_every != 0),
-      precise_(injector != nullptr || options_.checkpoint_every != 0 ||
-               options_.count_events ||
-               (guard != nullptr && guard->options().event_budget != 0)),
       guard_enabled_(guard != nullptr && guard->enabled()),
+      gate_(guard_enabled_ || options_.checkpoint_every != 0 ||
+            injector != nullptr),
+      suppressible_(guard != nullptr && guard->options().event_budget != 0),
       asym_(gate_ && register_membarrier()),
-      check_mask_(
-          guard != nullptr
-              ? round_up_pow2(std::max<std::uint64_t>(
-                    1, guard->options().check_interval)) - 1
-              : 0) {
-  if (!precise_ && guard_ != nullptr &&
-      guard_->options().mem_budget_bytes != 0) {
-    // Coarse mode: budget crossings are sensed on the allocation path and
-    // raise a bit in the pause word the access path already polls. The
-    // observer slot is free here — an attached fault injector (the other
-    // observer user) forces precise mode.
-    guard_->bind_pending(pause_, kBudgetCrossed);
-    profiler_->memory().set_observer(guard_);
-    observer_installed_ = true;
-    guard_->prime();
+      threads_(static_cast<unsigned>(profiler.options().max_threads)),
+      check_every_(guard_enabled_ ? std::max<std::uint64_t>(
+                                        1, guard->options().check_interval)
+                                  : 0) {
+  if (gate_) {
+    gen_ = g_sink_gen.fetch_add(1, std::memory_order_relaxed) + 1;
+    // The recorder's rule: never wider than 1/16th of the finest periodic
+    // mark, so small cadences stay near-exact at any thread count.
+    std::uint64_t finest = kNever;
+    for (const std::uint64_t every :
+         {options_.checkpoint_every, check_every_}) {
+      if (every != 0) finest = std::min(finest, every);
+    }
+    stride_ = static_cast<std::uint32_t>(
+        std::clamp<std::uint64_t>(finest / 16, 1, kMaxClockStride));
+    if (suppressible_ && guard->options().event_budget < kNever) {
+      next_budget_ = guard->options().event_budget + 1;
+    }
+    advance_marks(0);
   }
   if (crash_ != nullptr && crash_->has_dump_path()) {
     // A crash before the first periodic checkpoint must still dump a
@@ -124,25 +136,10 @@ GuardedSink::GuardedSink(core::Profiler& profiler, ResourceGuard* guard,
   (void)exit_hook_registered;
 }
 
-std::uint64_t GuardedSink::begin_event() {
-  const std::uint64_t idx =
-      events_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (injector_ != nullptr) injector_->on_event(idx);
-  if (gate_) {
-    const bool guard_due = guard_enabled_ && (idx & check_mask_) == 0 &&
-                           guard_->action_pending(idx);
-    const bool checkpoint_due = options_.checkpoint_every != 0 &&
-                                idx % options_.checkpoint_every == 0;
-    if (guard_due || checkpoint_due) maintenance(idx);
-  }
-  return idx;
-}
-
 GuardedSink::~GuardedSink() {
   GuardedSink* self = this;
   g_active_sink.compare_exchange_strong(self, nullptr,
                                         std::memory_order_acq_rel);
-  if (observer_installed_) profiler_->memory().set_observer(nullptr);
 }
 
 void GuardedSink::flush() noexcept {
@@ -158,8 +155,7 @@ void GuardedSink::flush() noexcept {
     // With appenders parked at the safepoint, pending micro-batches can be
     // drained; the snapshot then includes every admitted access.
     if (gate_) profiler_->flush_all();
-    write_checkpoint(events_.load(std::memory_order_relaxed), "partial",
-                     "flush");
+    write_checkpoint("partial", "flush");
     if (gate_) resume_the_world();
   } catch (...) {
     // flush() runs from atexit/fork hooks; failure means no snapshot, never
@@ -168,54 +164,76 @@ void GuardedSink::flush() noexcept {
   }
 }
 
-void GuardedSink::coarse_tick() {
-  std::unique_lock<std::mutex> lock(maintenance_mu_, std::try_to_lock);
-  if (!lock.owns_lock()) return;  // another thread holds the world
-  // Another appender may have run the check since this one saw the bit.
-  if ((pause_.load(std::memory_order_acquire) & kBudgetCrossed) == 0) return;
-  telemetry::ScopedSpan span("guard_check", telemetry::SpanCat::kGuard);
-  stop_the_world();
-  // Drain first so the stats the guard sees (and any ladder rung that
-  // replaces the backend) cover every admitted access, not just flushed ones.
-  profiler_->flush_all();
-  // With the world stopped the profiler's per-thread counters are stable;
-  // its access count is the closest thing to an event index in coarse mode.
-  guard_->check(profiler_->stats().accesses);
-  resume_the_world();
-}
-
-void GuardedSink::maintenance(std::uint64_t index) {
-  // One maintainer at a time; a losing thread just continues profiling (the
-  // winner is already doing the work for this window).
-  std::unique_lock<std::mutex> lock(maintenance_mu_, std::try_to_lock);
-  if (!lock.owns_lock()) return;
-  telemetry::ScopedSpan span("maintenance", telemetry::SpanCat::kGuard);
-  stop_the_world();
-  profiler_->flush_all();
-  if (guard_ != nullptr && guard_->enabled()) guard_->check(index);
-  if (options_.checkpoint_every != 0 &&
-      index % options_.checkpoint_every == 0) {
-    write_checkpoint(index, "partial", "periodic");
+inline void GuardedSink::tick() {
+  TlClock& tl = t_clock;
+  if (tl.gen != gen_) [[unlikely]] tl = TlClock{gen_};
+  if (++tl.pending == stride_) {
+    tl.seen = clock_.fetch_add(stride_, std::memory_order_relaxed) + stride_;
+    tl.pending = 0;
   }
-  resume_the_world();
+  const std::uint64_t view = tl.seen + tl.pending;
+  if (view >= due_.load(std::memory_order_relaxed)) [[unlikely]] on_due(view);
 }
 
-void GuardedSink::write_checkpoint(std::uint64_t index,
-                                   const std::string& state,
+void GuardedSink::on_due(std::uint64_t view) {
+  std::uint64_t index = view;
+  bool fault = false;
+  {
+    // One maintainer at a time. A thread that loses the lock, or finds the
+    // mark already advanced by a faster one, just continues profiling; a
+    // mark nobody handled is still due at the next tick.
+    std::unique_lock<std::mutex> lock(maintenance_mu_, std::try_to_lock);
+    if (!lock.owns_lock() || view < due_.load(std::memory_order_relaxed)) {
+      return;
+    }
+    const bool checkpoint = view >= next_checkpoint_;
+    fault = view >= next_fault_;
+    const bool guard_work = guard_enabled_ && guard_->action_pending(view);
+    if (checkpoint || guard_work || fault) {
+      telemetry::ScopedSpan span("maintenance", telemetry::SpanCat::kGuard);
+      stop_the_world();
+      // Drained, the access count covers every admitted access: the index.
+      profiler_->flush_all();
+      index = profiler_->stats().accesses;
+      if (guard_work) guard_->check(index);
+      if (checkpoint) write_checkpoint("partial", "periodic");
+      resume_the_world();
+    }
+    advance_marks(std::max(view, index));
+  }
+  // Outside the lock and the stopped world: a stall must not hold the other
+  // threads, and a thrown kill must not leave the world stopped.
+  if (fault) injector_->on_event(index);
+}
+
+void GuardedSink::advance_marks(std::uint64_t done) noexcept {
+  const auto after = [done](std::uint64_t every) {
+    return every == 0 ? kNever : (done / every + 1) * every;
+  };
+  next_checkpoint_ = after(options_.checkpoint_every);
+  next_check_ = after(check_every_);
+  if (done >= next_budget_) next_budget_ = kNever;  // a one-shot mark
+  if (injector_ != nullptr) next_fault_ = injector_->next_event_fault(done);
+  due_.store(std::min({next_checkpoint_, next_check_, next_budget_,
+                       next_fault_}),
+             std::memory_order_relaxed);
+}
+
+void GuardedSink::write_checkpoint(const std::string& state,
                                    const std::string& reason) {
   // Serializing walks the whole region tree; skip it when the snapshot has
   // nowhere to go (no checkpoint file, and a crash guard with no dump path).
   const bool publish = crash_ != nullptr && crash_->has_dump_path();
   if (!publish && options_.checkpoint_path.empty()) return;
   telemetry::ScopedSpan span("checkpoint", telemetry::SpanCat::kCheckpoint);
-  CheckpointMeta meta;
-  meta.events = index;
-  meta.state = state;
-  meta.reason = reason;
   // World is stopped (or the run is finalizing), so the profiler's
   // per-thread counters are stable.
-  std::string snapshot =
-      serialize_checkpoint(*profiler_, meta, profiler_->stats());
+  const core::ProfileStats stats = profiler_->stats();
+  CheckpointMeta meta;
+  meta.events = stats.accesses;
+  meta.state = state;
+  meta.reason = reason;
+  std::string snapshot = serialize_checkpoint(*profiler_, meta, stats);
   if (publish) crash_->publish(snapshot);
   if (options_.checkpoint_path.empty()) return;
   // Write faults apply to the file copy only — the published emergency
@@ -238,10 +256,10 @@ void GuardedSink::write_checkpoint(std::uint64_t index,
                    e.what());
     }
   }
-  write_epoch_sidecar(reason);
+  write_epoch_sidecar();
 }
 
-void GuardedSink::write_epoch_sidecar(const std::string& reason) {
+void GuardedSink::write_epoch_sidecar() {
   // The flight recorder's ring rides along with every checkpoint: force an
   // epoch boundary (the world is stopped, so the window is stable and every
   // pending micro-batch has been drained), then persist the surviving ring
@@ -251,7 +269,6 @@ void GuardedSink::write_epoch_sidecar(const std::string& reason) {
   core::FlightRecorder& recorder = profiler_->recorder();
   if (!recorder.enabled() || options_.checkpoint_path.empty()) return;
   recorder.flush(core::EpochSeal::kCheckpoint);
-  (void)reason;
   try {
     std::ostringstream os;
     core::write_epochs(os, recorder.timeline());
@@ -269,6 +286,26 @@ void GuardedSink::write_epoch_sidecar(const std::string& reason) {
   }
 }
 
+template <class Call>
+inline void GuardedSink::deliver(int tid, Call&& call) {
+  if (!gate_ || static_cast<unsigned>(tid) >= threads_) {
+    call();
+    return;
+  }
+  Slot& s = slots_[tid];
+  safepoint_enter(s);
+  call();
+  safepoint_leave(s);
+}
+
+void GuardedSink::on_thread_begin(int tid) {
+  deliver(tid, [&] { profiler_->on_thread_begin(tid); });
+}
+
+// Loop structure events always flow — region attribution must stay exact
+// even when access events are suppressed. They drain the thread's
+// micro-batch and move its region stack, which a world stop's flush_all()
+// reads, so on a gated sink they hold the safepoint like accesses do.
 void GuardedSink::on_loop_enter(int tid, instrument::LoopId id) {
   threading::ThreadRegistry::ReentrancyGuard reent;
   if (!reent.engaged()) [[unlikely]] {
@@ -276,12 +313,7 @@ void GuardedSink::on_loop_enter(int tid, instrument::LoopId id) {
     telemetry::counter("sink.reentrant_drops").add(1);
     return;
   }
-  if (precise_) (void)begin_event();
-  // Loop structure events always flow — region attribution must stay exact
-  // even when access events are suppressed. Node creation synchronizes with
-  // sparse conversion through the per-node child locks, so no safepoint is
-  // needed here.
-  profiler_->on_loop_enter(tid, id);
+  deliver(tid, [&] { profiler_->on_loop_enter(tid, id); });
 }
 
 void GuardedSink::on_loop_exit(int tid) {
@@ -291,8 +323,7 @@ void GuardedSink::on_loop_exit(int tid) {
     telemetry::counter("sink.reentrant_drops").add(1);
     return;
   }
-  if (precise_) (void)begin_event();
-  profiler_->on_loop_exit(tid);
+  deliver(tid, [&] { profiler_->on_loop_exit(tid); });
 }
 
 void GuardedSink::on_access(int tid, std::uintptr_t addr, std::uint32_t size,
@@ -309,24 +340,25 @@ void GuardedSink::on_access(int tid, std::uintptr_t addr, std::uint32_t size,
   // Remembered for the thread-exit micro-batch drain; a thread keeps its
   // tid, so the store almost never runs.
   if (t_last_tid != tid) [[unlikely]] t_last_tid = tid;
-  if (precise_) {
-    (void)begin_event();
-    if (guard_ != nullptr && guard_->suppress_accesses()) {
-      suppressed_.fetch_add(1, std::memory_order_relaxed);
-      telemetry::counter("sink.suppressed").add(1);
-      return;
-    }
-  } else if (!gate_) {
+  // Ungated sinks pass through. A tid the profiler drops (unregistered, or
+  // past max_threads) takes no slot — it would share a live thread's — and
+  // no tick: the profiler counts the drop without touching per-thread state.
+  if (!gate_ || static_cast<unsigned>(tid) >= threads_) {
     profiler_->on_access(tid, addr, size, kind);
     return;
   }
-  // Coarse mode needs no suppression check: suppression is event-budget
-  // driven, and an event budget forces precise mode. Its budget poll is the
-  // safepoint check itself (the budget bit lives in the pause word).
-  Slot& s = slots_[static_cast<std::size_t>(tid) & 63];
+  if (suppressible_ && guard_->suppress_accesses()) [[unlikely]] {
+    suppressed_.fetch_add(1, std::memory_order_relaxed);
+    telemetry::counter("sink.suppressed").add(1);
+    return;
+  }
+  Slot& s = slots_[tid];
   safepoint_enter(s);
   profiler_->on_access(tid, addr, size, kind);
   safepoint_leave(s);
+  // After the leave: maintenance stops the world, so it must never run from
+  // inside a slot.
+  tick();
 }
 
 void GuardedSink::on_drain(int tid) {
@@ -336,35 +368,21 @@ void GuardedSink::on_drain(int tid) {
     telemetry::counter("sink.reentrant_drops").add(1);
     return;
   }
-  // No begin_event() and no suppression check: the drained accesses were
-  // indexed and admitted when they entered the batch; losing them to a
-  // budget decision now would un-count admitted events.
-  if (!gate_) {
-    profiler_->on_drain(tid);
-    return;
-  }
-  Slot& s = slots_[static_cast<std::size_t>(tid) & 63];
-  safepoint_enter(s);
-  profiler_->on_drain(tid);
-  safepoint_leave(s);
+  // No tick and no suppression check: the drained accesses ticked and were
+  // admitted when they entered the batch; losing them to a budget decision
+  // now would un-count admitted events.
+  deliver(tid, [&] { profiler_->on_drain(tid); });
 }
 
 void GuardedSink::finalize() {
-  if (!precise_) {
-    // No per-event counting happened; stamp the closest equivalent. The
-    // profiler counts an access when its micro-batch drains, so drain the
-    // last batches first.
-    profiler_->flush_all();
-    events_.store(profiler_->stats().accesses, std::memory_order_relaxed);
-  }
+  // Drains the last micro-batches, so the access count below is final.
+  profiler_->finalize();
   // Gauges describe this sink's run; the per-instance atomics above stay the
   // authoritative counts (tests run several sinks in one process).
-  telemetry::gauge("sink.events").set(events());
+  telemetry::gauge("sink.events").set(profiler_->stats().accesses);
   telemetry::gauge("sink.suppressed").set(suppressed());
   telemetry::gauge("sink.reentrant_drops").set(reentrant_drops());
-  profiler_->finalize();
-  write_checkpoint(events_.load(std::memory_order_relaxed), "complete",
-                   "final");
+  write_checkpoint("complete", "final");
 }
 
 inline void GuardedSink::safepoint_enter(Slot& s) noexcept {
@@ -372,9 +390,8 @@ inline void GuardedSink::safepoint_enter(Slot& s) noexcept {
     // Asymmetric Dekker: the membarrier in stop_the_world() interposes a
     // full barrier in this thread, so either our store is visible to the
     // maintainer or our (acquire) load sees its pause bit. The acquire
-    // also pairs with resume_the_world()'s and the guard check's releases,
-    // so post-maintenance structure changes are visible before we touch the
-    // profiler.
+    // also pairs with resume_the_world()'s release, so post-maintenance
+    // structure changes are visible before we touch the profiler.
     s.active.store(1, std::memory_order_relaxed);
     std::atomic_signal_fence(std::memory_order_seq_cst);
     if (pause_.load(std::memory_order_acquire) == 0) [[likely]] return;
@@ -390,10 +407,7 @@ inline void GuardedSink::safepoint_enter(Slot& s) noexcept {
 void GuardedSink::safepoint_enter_contended(Slot& s) noexcept {
   for (;;) {
     s.active.store(0, std::memory_order_seq_cst);
-    for (std::uint32_t p; (p = pause_.load(std::memory_order_acquire)) != 0;) {
-      // A crossed budget (coarse mode only) parks every appender until one
-      // of them wins the maintenance lock and runs the check.
-      if ((p & kBudgetCrossed) != 0) coarse_tick();
+    while (pause_.load(std::memory_order_acquire) != 0) {
       std::this_thread::yield();
     }
     s.active.store(1, std::memory_order_seq_cst);
@@ -408,7 +422,7 @@ inline void GuardedSink::safepoint_leave(Slot& s) noexcept {
 
 void GuardedSink::stop_the_world() noexcept {
   telemetry::Tracer::begin("world_stopped", telemetry::SpanCat::kQuiesce);
-  pause_.fetch_or(kWorldStopped, std::memory_order_seq_cst);
+  pause_.store(1, std::memory_order_seq_cst);
   if (asym_) membarrier_sync();
   for (Slot& s : slots_) {
     while (s.active.load(std::memory_order_acquire) != 0) {
@@ -418,7 +432,7 @@ void GuardedSink::stop_the_world() noexcept {
 }
 
 void GuardedSink::resume_the_world() noexcept {
-  pause_.fetch_and(~kWorldStopped, std::memory_order_release);
+  pause_.store(0, std::memory_order_release);
   telemetry::Tracer::end(telemetry::SpanCat::kQuiesce);
 }
 

@@ -2,11 +2,10 @@
 //
 // Wraps a core::Profiler behind the AccessSink interface and adds, on the
 // event path:
-//   * a global event counter (the index budgets, checkpoints and fault
-//     injection are phrased in),
-//   * fault-injection hooks (kill/stall at event N),
-//   * periodic ResourceGuard checks, executed under a stop-the-world
-//     safepoint so ladder rungs can replace live backend/matrix structures,
+//   * an event clock that says when maintenance is due (below),
+//   * fault-injection hooks (kill/stall after event N),
+//   * ResourceGuard checks, executed under a stop-the-world safepoint so
+//     ladder rungs can replace live backend/matrix structures,
 //   * periodic checkpoint serialization, published to the CrashGuard for
 //     emergency dumps and written crash-safely to --checkpoint=FILE.
 //
@@ -18,17 +17,14 @@
 // store plus a compiler barrier, and the (rare) stop-the-world side pays the
 // kernel-mediated fence for everyone. Elsewhere both sides use seq_cst.
 //
-// Event accounting has two speeds. When exact event indices matter — a
-// fault injector is attached, checkpointing is on, or an event budget is
-// set — a shared atomic counter assigns a global index per event. Otherwise
-// (the common mem-budget-only "idle guard") there is no per-event counting
-// at all: the guard watches the budget from the MemoryTracker's allocation
-// observer (memory only grows through tracked allocations) and raises a
-// budget bit in the safepoint's pause word. Every gated path, in either
-// mode, reads that one word: a world stop (maintenance, flush) sets its own
-// bit, so neither clears the other, and the access path pays exactly one
-// acquire load (budget poll and Dekker check combined) plus the two slot
-// stores.
+// The event index that checkpoints, budgets, degradations and faults speak
+// in is the profiler's access count (loop events and suppressed or dropped
+// accesses are not events), read with the world stopped and every batch
+// drained, so a checkpoint's index is the accesses it covers. Whether a
+// mark is due is decided by a per-OS-thread clock (tick()): exact when one
+// OS thread drives the sink; at T threads a mark fires up to T * stride
+// accesses late, and an exiting thread's unpublished ticks are lost, which
+// shifts only when later marks fire. The recorded index stays exact.
 #pragma once
 
 #include <atomic>
@@ -50,10 +46,6 @@ class GuardedSink final : public instrument::AccessSink {
   struct Options {
     std::uint64_t checkpoint_every = 0;  ///< events between snapshots; 0 = off
     std::string checkpoint_path;         ///< empty = no checkpoint file
-    /// Force precise per-event counting even when no injector, checkpoint or
-    /// event budget requires it, so events() is readable while the run is in
-    /// flight (live views like `commscope top` poll it from another thread).
-    bool count_events = false;
   };
 
   /// `guard`, `injector` and `crash` are optional (may be null) and, like
@@ -61,24 +53,24 @@ class GuardedSink final : public instrument::AccessSink {
   /// path, an initial (empty) snapshot is published immediately so even a
   /// crash before the first periodic checkpoint dumps something loadable.
   /// Snapshots are serialized only when a checkpoint path or a dump path
-  /// can take them. In coarse mode with a memory budget, the sink installs
-  /// the guard as the MemoryTracker's allocation observer (and removes it on
-  /// destruction).
+  /// can take them. The sink is gated (safepoint and event clock) when the
+  /// guard is enabled, a checkpoint cadence is set or an injector is
+  /// attached; otherwise it passes events straight to the profiler.
   GuardedSink(core::Profiler& profiler, ResourceGuard* guard, Options options,
               FaultInjector* injector = nullptr, CrashGuard* crash = nullptr);
   ~GuardedSink() override;
 
   // --- AccessSink ----------------------------------------------------------
-  void on_thread_begin(int tid) override { profiler_->on_thread_begin(tid); }
+  void on_thread_begin(int tid) override;
   void on_loop_enter(int tid, instrument::LoopId id) override;
   void on_loop_exit(int tid) override;
   void on_access(int tid, std::uintptr_t addr, std::uint32_t size,
                  instrument::AccessKind kind) override;
   void finalize() override;
   /// Drains `tid`'s micro-batch through the same reentrancy guard and
-  /// safepoint the access path uses. Never suppressed and never assigned an
-  /// event index: the buffered accesses were already counted when they were
-  /// admitted, so a drain is pure delivery, not a new event.
+  /// safepoint the access path uses. Never suppressed and never ticks the
+  /// clock: the buffered accesses ticked when they were admitted, so a drain
+  /// is pure delivery, not a new event.
   void on_drain(int tid) override;
 
   /// Best-effort flush: serialize the current profiler state and hand it to
@@ -88,12 +80,6 @@ class GuardedSink final : public instrument::AccessSink {
   /// state survives exit() and fork() mid-phase.
   void flush() noexcept;
 
-  /// Counted events. Exact in precise mode; in coarse mode there is no
-  /// per-event counting, so this reads 0 until finalize() stamps it from the
-  /// profiler's access statistics.
-  [[nodiscard]] std::uint64_t events() const noexcept {
-    return events_.load(std::memory_order_relaxed);
-  }
   /// Access events dropped because the event budget was exhausted.
   [[nodiscard]] std::uint64_t suppressed() const noexcept {
     return suppressed_.load(std::memory_order_relaxed);
@@ -115,31 +101,42 @@ class GuardedSink final : public instrument::AccessSink {
     std::atomic<std::uint32_t> active{0};
   };
 
-  /// Bits of pause_, the one word every gated path checks on entry.
-  static constexpr std::uint32_t kWorldStopped = 1;   ///< stop_the_world()
-  static constexpr std::uint32_t kBudgetCrossed = 2;  ///< guard's sensor
+  /// A due mark that is never reached.
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
-  /// Precise-mode event prologue: assigns the global index, runs injector
-  /// faults, and performs guard/checkpoint maintenance when due.
-  std::uint64_t begin_event();
-  /// Coarse-mode response to the budget bit: stop the world and run the
-  /// guard check, indexed by the profiler's own access count.
-  void coarse_tick();
-  void maintenance(std::uint64_t index);
-  void write_checkpoint(std::uint64_t index, const std::string& state,
-                        const std::string& reason);
+  /// Runs one profiler call for `tid`, inside its safepoint slot when gated.
+  /// A tid the profiler drops takes no slot: it would share a live one.
+  template <class Call>
+  void deliver(int tid, Call&& call);
+  /// Ticks the calling thread's clock after one admitted access: one shared
+  /// fetch_add per stride (1/16th of the finest periodic mark, at most 64),
+  /// and on_due() when the thread's view (the shared count it last saw plus
+  /// its unpublished ticks) reaches the next due mark.
+  void tick();
+  /// The crossing thread's handler: under the maintenance lock, stops the
+  /// world when a checkpoint is due, the guard has work or a fault position
+  /// is reached, then advances the marks; faults fire after the world
+  /// resumes. Out of line and cold so the access path stays frame-light.
+#if defined(__GNUC__)
+  [[gnu::noinline, gnu::cold]]
+#endif
+  void on_due(std::uint64_t view);
+  /// Moves every due mark past event `done` and republishes due_.
+  void advance_marks(std::uint64_t done) noexcept;
+  /// Serializes the profiler with meta.events = its access count, so the
+  /// index always equals the accesses the snapshot covers.
+  void write_checkpoint(const std::string& state, const std::string& reason);
   /// Forces a flight-recorder epoch boundary and persists the ring next to
   /// the checkpoint file (`<checkpoint>.epochs`). No-op when the recorder is
   /// disabled or no checkpoint path is configured; IO failure is counted and
   /// warned once, never propagated (the checkpoint itself must not be lost
   /// to a sidecar problem).
-  void write_epoch_sidecar(const std::string& reason);
+  void write_epoch_sidecar();
 
   // Safepoint protocol (active only when gate_ is set). The common
   // uncontended enter is inlined at the call sites; the backout-and-spin
-  // loop (which also runs a pending budget check) lives out of line and
-  // cold so the fast path stays frame-light — inlining the world-stop
-  // machinery would spill arguments on every access.
+  // loop lives out of line and cold so the fast path stays frame-light —
+  // inlining the world-stop machinery would spill arguments on every access.
   void safepoint_enter(Slot& s) noexcept;
 #if defined(__GNUC__)
   [[gnu::noinline, gnu::cold]]
@@ -154,14 +151,15 @@ class GuardedSink final : public instrument::AccessSink {
   Options options_;
   FaultInjector* injector_;
   CrashGuard* crash_;
-  bool gate_;
-  bool precise_;        ///< exact per-event indices required
   bool guard_enabled_;  ///< cached guard_ && guard_->enabled()
+  bool gate_;           ///< safepoint and event clock on
+  bool suppressible_;   ///< an event budget is set: accesses may be dropped
   bool asym_;           ///< membarrier available: relaxed-store fast path
-  bool observer_installed_ = false;
-  std::uint64_t check_mask_;  ///< guard check interval rounded up to pow2 - 1
+  unsigned threads_;    ///< the profiler's max_threads: tids with a slot
+  std::uint64_t check_every_;  ///< guard check interval; 0 = no guard
+  std::uint32_t stride_ = 1;  ///< ticks per publish to clock_
+  std::uint64_t gen_ = 0;     ///< ties a thread's clock to this sink
 
-  std::atomic<std::uint64_t> events_{0};
   std::atomic<std::uint64_t> suppressed_{0};
   std::atomic<std::uint64_t> reentrant_drops_{0};
   std::uint64_t checkpoints_written_ = 0;
@@ -169,9 +167,18 @@ class GuardedSink final : public instrument::AccessSink {
   bool epoch_io_failed_ = false;
 
   std::mutex maintenance_mu_;
-  /// kWorldStopped | kBudgetCrossed. The guard's allocation sensor is bound
-  /// to the budget bit (bind_pending) in coarse mode, so the access hot path
-  /// reads its own object, not the guard's.
+  // The due marks, advanced under maintenance_mu_; due_ is their minimum.
+  std::uint64_t next_checkpoint_ = kNever;
+  std::uint64_t next_check_ = kNever;   ///< next guard check interval
+  std::uint64_t next_budget_ = kNever;  ///< event budget + 1
+  std::uint64_t next_fault_ = kNever;   ///< next kill/sleep position
+
+  /// Published clock ticks. Written once per stride by each thread, so it
+  /// has a line of its own, away from the words every access reads.
+  alignas(64) std::atomic<std::uint64_t> clock_{0};
+  /// Read on every gated access: the next due mark, and the pause word (1
+  /// while the world is stopped) that safepoint_enter checks.
+  alignas(64) std::atomic<std::uint64_t> due_{kNever};
   std::atomic<std::uint32_t> pause_{0};
   Slot slots_[64];
 };

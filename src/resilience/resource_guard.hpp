@@ -17,8 +17,10 @@
 // still completes. An exhausted event budget suppresses further access
 // events (region structure and counts stay exact, volumes freeze).
 //
-// The guard is policy only; GuardedSink provides the mechanism (periodic
-// checks from the event path, quiescence before any rung applies).
+// The guard is policy only; GuardedSink provides the mechanism (checks at
+// the event clock's due marks, quiescence before any rung applies). Events
+// are the profiler's admitted accesses, so budgets and degradation indices
+// are phrased in ProfileStats::accesses.
 #pragma once
 
 #include <atomic>
@@ -27,18 +29,17 @@
 #include "core/profiler.hpp"
 #include "instrument/sampling.hpp"
 #include "resilience/fault_injector.hpp"
-#include "support/memtrack.hpp"
 
 namespace commscope::resilience {
 
 struct GuardOptions {
   std::uint64_t mem_budget_bytes = 0;  ///< 0 = unlimited
   std::uint64_t event_budget = 0;      ///< 0 = unlimited
-  /// Events between budget peeks (rounded up to a power of two by the sink).
+  /// Events between budget peeks: GuardedSink peeks at every multiple.
   std::uint64_t check_interval = 1024;
 };
 
-class ResourceGuard : public support::AllocObserver {
+class ResourceGuard {
  public:
   ResourceGuard(GuardOptions options, core::Profiler& profiler,
                 FaultInjector* injector = nullptr,
@@ -47,40 +48,6 @@ class ResourceGuard : public support::AllocObserver {
         profiler_(&profiler),
         injector_(injector),
         sampler_(sampler) {}
-
-  /// Allocation-path sensor: installed by GuardedSink (coarse mode) on the
-  /// profiler's MemoryTracker, it raises the pending bit the moment a
-  /// tracked allocation crosses the memory budget. Memory only grows through
-  /// tracked allocations, so the bit (which lives in the coarse-mode
-  /// safepoint pause word; check() clears it with release when done) is all
-  /// the event hot path ever has to look at.
-  void on_tracked_alloc(std::size_t bytes) noexcept override {
-    if (watching_.load(std::memory_order_relaxed) &&
-        options_.mem_budget_bytes != 0 &&
-        (pending_->load(std::memory_order_relaxed) & pending_bit_) == 0 &&
-        profiler_->memory_bytes() + bytes > options_.mem_budget_bytes) {
-      pending_->fetch_or(pending_bit_, std::memory_order_relaxed);
-    }
-  }
-
-  /// Redirects the pending bit to `bit` of sink-owned `word` so the access
-  /// hot path reads one flag word of its own object instead of chasing a
-  /// pointer into the guard; the guard never touches the word's other bits.
-  /// `word` must outlive the guard's last sensor call.
-  void bind_pending(std::atomic<std::uint32_t>& word,
-                    std::uint32_t bit) noexcept {
-    pending_ = &word;
-    pending_bit_ = bit;
-  }
-
-  /// Raises the pending bit if the budget is already blown (covers memory
-  /// charged before the guard was attached).
-  void prime() noexcept {
-    if (options_.mem_budget_bytes != 0 &&
-        profiler_->memory_bytes() > options_.mem_budget_bytes) {
-      pending_->fetch_or(pending_bit_, std::memory_order_relaxed);
-    }
-  }
 
   /// True when any guardrail is configured (or an injector can trip one);
   /// GuardedSink skips the safepoint protocol entirely otherwise.
@@ -93,11 +60,12 @@ class ResourceGuard : public support::AllocObserver {
     return options_;
   }
 
-  /// Cheap lock-free peek from the event hot path: does `check()` have
-  /// anything to do at event `index`? Only when this returns true does the
-  /// caller pay for stopping the world.
+  /// Cheap lock-free peek at a due mark: does `check()` have anything to do
+  /// at event `index`? Only when this returns true does the caller pay for
+  /// stopping the world. Once the ladder is spent, memory over the budget is
+  /// nothing check() can act on, so it no longer counts.
   [[nodiscard]] bool action_pending(std::uint64_t index) const noexcept {
-    if (options_.mem_budget_bytes != 0 &&
+    if (options_.mem_budget_bytes != 0 && !exhausted_ &&
         profiler_->memory_bytes() > options_.mem_budget_bytes) {
       return true;
     }
@@ -122,12 +90,6 @@ class ResourceGuard : public support::AllocObserver {
     return suppress_.load(std::memory_order_relaxed);
   }
 
-  /// Ladder rungs applied so far (diagnostic; provenance lives in the
-  /// profiler's degradation log).
-  [[nodiscard]] std::uint64_t downshifts() const noexcept {
-    return downshifts_.load(std::memory_order_relaxed);
-  }
-
  private:
   /// One rung: first applicable downshift. False when the ladder is spent.
   bool apply_one_rung(std::uint64_t index, const std::string& reason);
@@ -136,18 +98,11 @@ class ResourceGuard : public support::AllocObserver {
   core::Profiler* profiler_;
   FaultInjector* injector_;
   instrument::SamplingSink* sampler_;
-  std::atomic<std::uint32_t> own_pending_{0};
-  std::atomic<std::uint32_t>* pending_ = &own_pending_;  ///< see bind_pending()
-  std::uint32_t pending_bit_ = 1;
-  // watching_/suppress_/downshifts_ are written only from check() (which
-  // runs with the world stopped) but *read* concurrently from every thread's
-  // allocation or event hot path — relaxed atomics, not plain fields, so the
-  // reads are not torn/UB under TSan. exhausted_reported_ stays plain: it is
-  // only ever touched under the maintenance lock.
-  std::atomic<bool> watching_{true};
+  // suppress_ is written only from check() (which runs with the world
+  // stopped) but read from every thread's event path, so it is a relaxed
+  // atomic. exhausted_ is only touched under the maintenance lock.
   std::atomic<bool> suppress_{false};
-  bool exhausted_reported_ = false;
-  std::atomic<std::uint64_t> downshifts_{0};
+  bool exhausted_ = false;  ///< the ladder is spent and memory is still over
 };
 
 }  // namespace commscope::resilience

@@ -61,8 +61,9 @@ struct StressOptions {
   int words = 64;  ///< distinct 8-byte words in the synthetic arena (1..4096)
   /// Inject thread exit/respawn steps (lockstep only).
   bool churn = true;
-  /// GuardedSink checkpoint interval; nonzero forces the precise safepoint
-  /// gate on (serialization only — no checkpoint file is written).
+  /// GuardedSink checkpoint interval; nonzero turns the safepoint gate on,
+  /// and every mark stops the world and drains every batch (no checkpoint
+  /// file is written).
   std::uint64_t checkpoint_every = 256;
   /// Run the guarded pipeline twice and require identical matrices.
   bool verify_determinism = true;

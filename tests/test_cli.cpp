@@ -183,6 +183,28 @@ TEST(CliErrors, MalformedFlagValueIsUsageError) {
   std::remove(matrix.c_str());
 }
 
+// Every flag value is read before profiling starts, so a malformed one is a
+// usage error even when an injected fault would end the run at its first
+// event.
+TEST(CliErrors, MalformedOutputFlagFailsBeforeProfiling) {
+  const std::string trace = "/tmp/commscope_cli_early.trace";
+  ASSERT_EQ(run_cli("run fft --scale=dev --threads=4 -q --save-trace=" + trace)
+                .exit_code,
+            0);
+  for (const std::string& cmd :
+       {std::string("run fft --scale=dev --threads=4 "),
+        "replay " + trace + " "}) {
+    for (const char* flags :
+         {"--heatmaps=4294967297",
+          "--ship-to=/tmp/commscope_cli_early.sock --ship-session=-1"}) {
+      const RunResult r =
+          run_cli(cmd + flags, "COMMSCOPE_FAULT=kill-at-event:1");
+      EXPECT_EQ(r.exit_code, 2) << cmd << flags << "\n" << r.output;
+    }
+  }
+  std::remove(trace.c_str());
+}
+
 TEST(CliErrors, CorruptMatrixFileFailsWithDiagnostic) {
   const std::string path = "/tmp/commscope_cli_corrupt.matrix";
   {

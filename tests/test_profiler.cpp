@@ -2,7 +2,9 @@
 // the public AccessSink interface, for both backends.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
+#include <vector>
 
 #include "core/phase.hpp"
 #include "core/profiler.hpp"
@@ -135,6 +137,47 @@ TEST_P(ProfilerBackends, ConcurrentProducersConsumersAreCaptured) {
   if (GetParam() == cc::Backend::kExact) {
     EXPECT_EQ(m.at(0, 1), full);
     EXPECT_EQ(m.at(0, 2), full);
+  }
+}
+
+// `commscope top` reads stats() from its painter thread while the workers
+// ingest: the per-thread counters are owner-written atomics, so the poll
+// races nothing, never goes backwards, and ends at the exact total.
+TEST_P(ProfilerBackends, StatsArePollableWhileThreadsIngest) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20000;
+  for (const std::uint32_t batch : {0u, 64u}) {
+    cc::ProfilerOptions o = small_options(GetParam());
+    o.batch_size = batch;
+    cc::Profiler prof(o);
+    std::atomic<int> running{kThreads};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&prof, &running, t] {
+        prof.on_thread_begin(t);
+        for (int i = 0; i < kPerThread; ++i) {
+          prof.on_access(t, 0x200000 + static_cast<std::uintptr_t>(i % 256) * 8,
+                         8,
+                         (i + t) % 2 == 0 ? ci::AccessKind::kWrite
+                                          : ci::AccessKind::kRead);
+        }
+        prof.on_drain(t);
+        running.fetch_sub(1, std::memory_order_release);
+      });
+    }
+    std::uint64_t last = 0;
+    while (running.load(std::memory_order_acquire) != 0) {
+      const cc::ProfileStats s = prof.stats();
+      EXPECT_GE(s.accesses, last);
+      EXPECT_LE(s.accesses,
+                static_cast<std::uint64_t>(kThreads) * kPerThread);
+      last = s.accesses;
+      std::this_thread::yield();
+    }
+    for (std::thread& w : workers) w.join();
+    const cc::ProfileStats s = prof.stats();
+    EXPECT_EQ(s.accesses, static_cast<std::uint64_t>(kThreads) * kPerThread);
+    EXPECT_EQ(s.reads + s.writes, s.accesses);
   }
 }
 

@@ -21,6 +21,7 @@
 #include "sigmem/exact_signature.hpp"
 #include "support/atomic_file.hpp"
 #include "support/memtrack.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace cc = commscope::core;
 namespace ci = commscope::instrument;
@@ -434,7 +435,7 @@ TEST(GuardedSink, CleanRunWritesCompleteCheckpoint) {
   sink.finalize();
   const cr::Checkpoint ck = cr::load_checkpoint(path);
   EXPECT_EQ(ck.meta.state, "complete");
-  EXPECT_EQ(ck.meta.events, sink.events());
+  EXPECT_EQ(ck.meta.events, prof.stats().accesses);
   EXPECT_EQ(ck.stats.dependencies, prof.stats().dependencies);
   std::remove(path.c_str());
 }
@@ -478,9 +479,9 @@ TEST(GuardedSink, MemBudgetRunEndsWithDegradationProvenance) {
   EXPECT_NE(report.str().find("degradations:"), std::string::npos);
 }
 
-TEST(GuardedSink, CoarseFinalizeCountsBufferedAccesses) {
-  // A guard with no budget leaves the sink in coarse mode, where finalize()
-  // stamps events() from the profiler's access count; accesses still
+TEST(GuardedSink, FinalizeCountsBufferedAccesses) {
+  // A guard with no budget leaves the sink ungated; finalize() reports the
+  // profiler's access count as the sink.events gauge, and accesses still
   // sitting in micro-batches must be in it.
   cc::ProfilerOptions o;
   o.max_threads = 4;
@@ -498,7 +499,58 @@ TEST(GuardedSink, CoarseFinalizeCountsBufferedAccesses) {
   }
   sink.finalize();
   EXPECT_EQ(prof.stats().accesses, 400u);
-  EXPECT_EQ(sink.events(), prof.stats().accesses);
+  EXPECT_EQ(commscope::telemetry::gauge("sink.events").value(),
+            prof.stats().accesses);
+}
+
+// The event index is the profiler's access count with every batch drained:
+// with one OS thread each periodic checkpoint fires at its exact access and
+// covers it, batched or not.
+TEST(GuardedSink, CheckpointIndexEqualsCoveredAccesses) {
+  for (const std::uint32_t batch : {0u, 64u}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    const std::string path = temp_path("ck_index.tmp");
+    cc::ProfilerOptions o;
+    o.max_threads = 4;
+    o.batch_size = batch;
+    cc::Profiler prof(o);
+    cr::GuardedSink::Options so;
+    so.checkpoint_every = 100;
+    so.checkpoint_path = path;
+    cr::GuardedSink sink(prof, nullptr, so);
+    drive_pairs(sink, 260);  // 520 accesses: the last mark is 500
+    const cr::Checkpoint ck = cr::load_checkpoint(path);
+    EXPECT_EQ(ck.meta.reason, "periodic");
+    EXPECT_EQ(ck.meta.events, 500u);
+    EXPECT_EQ(ck.stats.accesses, 500u);
+    EXPECT_EQ(sink.checkpoints_written(), 5u);
+    sink.finalize();
+    std::remove(path.c_str());
+  }
+}
+
+// Once the ladder is spent, memory over the budget is nothing a check can
+// act on: the marks after it must not stop the world for it again.
+TEST(GuardedSink, ExhaustedLadderStopsCheckingMemory) {
+  cc::ProfilerOptions o;
+  o.max_threads = 4;
+  o.backend = cc::Backend::kExact;
+  o.signature_slots = 1 << 13;
+  cc::Profiler prof(o);
+  cr::GuardOptions g;
+  g.mem_budget_bytes = 1 << 10;
+  g.event_budget = 1000000000000ULL;  // gated, never reached
+  g.check_interval = 64;
+  cr::ResourceGuard guard(g, prof);
+  cr::GuardedSink sink(prof, &guard, {});
+  const std::uint64_t before =
+      commscope::telemetry::counter("guard.checks").value();
+  drive_pairs(sink, 5000);
+  sink.finalize();
+  EXPECT_EQ(commscope::telemetry::counter("guard.checks").value() - before, 1u);
+  ASSERT_FALSE(prof.degradations().empty());
+  EXPECT_NE(prof.degradations().back().action.find("ladder exhausted"),
+            std::string::npos);
 }
 
 // --- concurrency hardening --------------------------------------------------

@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "core/profiler.hpp"
+#include "instrument/loop_registry.hpp"
+#include "resilience/checkpoint.hpp"
 #include "resilience/guarded_sink.hpp"
 #include "resilience/stress.hpp"
 #include "serve/server.hpp"
@@ -215,11 +217,10 @@ TEST(FlushOrdering, PeriodicCheckpointDrainsBatch) {
     sink.on_access(0, 0x6000u + 8u * static_cast<unsigned>(i), 8,
                    ci::AccessKind::kWrite);
   }
-  // Maintenance fires inside the 8th event's prologue, BEFORE that event
-  // reaches the profiler: the checkpoint covers the 7 already-admitted
-  // accesses and the 8th lands in the (now empty) batch afterwards.
-  EXPECT_EQ(prof.stats().accesses, 7u);
-  EXPECT_EQ(prof.pending_events(0), 1u);
+  // The 8th access reaches the mark after it is admitted, so the checkpoint
+  // drains and covers all 8 and leaves the batch empty.
+  EXPECT_EQ(prof.stats().accesses, 8u);
+  EXPECT_EQ(prof.pending_events(0), 0u);
 }
 
 TEST(FlushOrdering, RegistryFlushHooksDrainActiveSink) {
@@ -238,12 +239,12 @@ TEST(FlushOrdering, RegistryFlushHooksDrainActiveSink) {
   EXPECT_EQ(prof.stats().accesses, 1u);
 }
 
-// Coarse mode (a memory budget alone: no checkpoint, injector or event
-// budget) keeps no event index, yet flush() — what the registry's atexit and
-// fork hooks run — must still park its appenders before draining their
-// micro-batches. A lane left running would append to the batch flush_all()
-// is draining, and the drain would lose or double-count accesses.
-TEST(FlushOrdering, CoarseModeFlushParksAppenders) {
+// With a memory budget alone (no checkpoint, injector or event budget),
+// flush() — what the registry's atexit and fork hooks run — must still park
+// its appenders before draining their micro-batches. A lane left running
+// would append to the batch flush_all() is draining, and the drain would
+// lose or double-count accesses.
+TEST(FlushOrdering, MemBudgetFlushParksAppenders) {
   constexpr int kLanes = 4;
   constexpr int kPerLane = 200000;
   cc::Profiler prof(batched_profiler_options());
@@ -276,6 +277,125 @@ TEST(FlushOrdering, CoarseModeFlushParksAppenders) {
   EXPECT_GT(flushes, 0u);
   EXPECT_EQ(prof.stats().accesses,
             static_cast<std::uint64_t>(kLanes) * kPerLane);
+}
+
+// A tid the profiler drops takes no safepoint slot. Sharing a live thread's
+// slot (66 mod 64 is tid 2's) would let the dropped thread's leave clear the
+// live thread's mark while it is inside the profiler, and a world stop would
+// then drain its batch under it.
+TEST(FlushOrdering, OutOfRangeTidTakesNoSafepointSlot) {
+  constexpr int kPerLane = 100000;
+  cc::Profiler prof(batched_profiler_options());
+  cr::GuardedSink::Options so;
+  so.checkpoint_every = 1 << 30;  // gate on; no periodic firing
+  cr::GuardedSink sink(prof, nullptr, so);
+  std::atomic<int> running{2};
+  const auto lane = [&](int tid) {
+    sink.on_thread_begin(tid);
+    for (int i = 0; i < kPerLane; ++i) {
+      sink.on_access(tid, 0x200000u + 8u * static_cast<unsigned>(i % 4096), 8,
+                     i % 2 == 0 ? ci::AccessKind::kWrite
+                                : ci::AccessKind::kRead);
+    }
+    running.fetch_sub(1, std::memory_order_release);
+  };
+  std::thread a(lane, 2);
+  std::thread b(lane, 66);
+  while (running.load(std::memory_order_acquire) != 0) {
+    sink.flush();
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  a.join();
+  b.join();
+  sink.finalize();
+  EXPECT_EQ(prof.stats().accesses, static_cast<std::uint64_t>(kPerLane));
+  EXPECT_EQ(prof.dropped_events(), static_cast<std::uint64_t>(kPerLane) + 1);
+}
+
+// Loop events drain their thread's micro-batch (so buffered accesses keep
+// their region). On a gated sink that drain must run inside the thread's
+// safepoint slot like any other: a world stop that drains every batch would
+// otherwise drain the same one under it.
+TEST(FlushOrdering, LoopEventDrainsHoldTheSafepoint) {
+  constexpr int kLanes = 4;
+  constexpr int kLoops = 400;
+  constexpr int kPerLoop = 50;
+  const ci::LoopId loop =
+      ci::LoopRegistry::instance().declare("test_stress", "drained loop");
+  cc::Profiler prof(batched_profiler_options());
+  cr::GuardedSink::Options so;
+  so.checkpoint_every = 512;  // no path: the world stops and drains only
+  cr::GuardedSink sink(prof, nullptr, so);
+  std::vector<std::thread> lanes;
+  for (int t = 0; t < kLanes; ++t) {
+    lanes.emplace_back([&, t] {
+      sink.on_thread_begin(t);
+      for (int l = 0; l < kLoops; ++l) {
+        sink.on_loop_enter(t, loop);
+        for (int i = 0; i < kPerLoop; ++i) {
+          sink.on_access(t, 0x400000u + 8u * static_cast<unsigned>(i), 8,
+                         (i + t) % 2 == 0 ? ci::AccessKind::kWrite
+                                          : ci::AccessKind::kRead);
+        }
+        sink.on_loop_exit(t);
+      }
+    });
+  }
+  for (std::thread& l : lanes) l.join();
+  sink.finalize();
+  EXPECT_EQ(prof.stats().accesses,
+            static_cast<std::uint64_t>(kLanes) * kLoops * kPerLoop);
+}
+
+// At four lanes a checkpoint mark fires late by up to lanes * stride
+// accesses, but the index it records is read with the world stopped and
+// every batch drained: each checkpoint's index is the accesses it covers,
+// and the final one is every access the lanes delivered.
+TEST(FlushOrdering, CheckpointIndexIsCoveredAccessesAtFourLanes) {
+  constexpr int kLanes = 4;
+  constexpr int kPerLane = 30000;
+  const std::string path =
+      std::string(::testing::TempDir()) + "stress_ck_index.ck";
+  std::remove(path.c_str());
+  cc::Profiler prof(batched_profiler_options());
+  cr::GuardedSink::Options so;
+  so.checkpoint_every = 4096;
+  so.checkpoint_path = path;
+  cr::GuardedSink sink(prof, nullptr, so);
+  std::atomic<int> running{kLanes};
+  std::vector<std::thread> lanes;
+  for (int t = 0; t < kLanes; ++t) {
+    lanes.emplace_back([&, t] {
+      sink.on_thread_begin(t);
+      for (int i = 0; i < kPerLane; ++i) {
+        sink.on_access(t, 0x300000u + 8u * static_cast<unsigned>(i % 4096), 8,
+                       (i + t) % 2 == 0 ? ci::AccessKind::kWrite
+                                        : ci::AccessKind::kRead);
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  std::uint64_t loaded = 0;
+  while (running.load(std::memory_order_acquire) != 0) {
+    try {
+      const cr::Checkpoint ck = cr::load_checkpoint(path);
+      EXPECT_EQ(ck.meta.events, ck.stats.accesses);
+      ++loaded;
+    } catch (const std::runtime_error&) {
+      // Not written yet.
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  for (std::thread& l : lanes) l.join();
+  sink.finalize();
+  const cr::Checkpoint ck = cr::load_checkpoint(path);
+  EXPECT_EQ(ck.meta.state, "complete");
+  EXPECT_EQ(ck.meta.events, static_cast<std::uint64_t>(kLanes) * kPerLane);
+  EXPECT_EQ(ck.stats.accesses, ck.meta.events);
+  // 120000 ticks cross 29 marks, less what the lanes' unpublished
+  // remainders (under one stride each) hold back, plus the final snapshot.
+  EXPECT_GT(sink.checkpoints_written(), 20u);
+  std::remove(path.c_str());
 }
 
 namespace {

@@ -400,13 +400,10 @@ int write_epochs_output(const cs::ArgParser& args, cc::Profiler& profiler,
 /// Ships the sealed epoch timeline to a `commscope serve` daemon when
 /// --ship-to was given. Shipping is strictly best-effort: an unreachable or
 /// misbehaving daemon costs bounded retries and a sidecar spill, never the
-/// run's exit code.
-void maybe_ship_epochs(const cs::ArgParser& args, cc::Profiler& profiler,
-                       int threads, std::ostream& log) {
+/// run's exit code. `session` is --ship-session, read before profiling.
+void maybe_ship_epochs(const cs::ArgParser& args, std::uint64_t session,
+                       cc::Profiler& profiler, int threads, std::ostream& log) {
   if (!args.has("ship-to")) return;
-  // Read outside the try: a malformed session id is a usage error (exit 2),
-  // not a shipping failure.
-  const auto session = args.get_int_as<std::uint64_t>("ship-session", 0);
   try {
     csv::ShipperOptions opts;
     opts.socket_path = args.get("ship-to");
@@ -524,11 +521,11 @@ ResilienceStack make_resilience(const cs::ArgParser& args,
 /// Shared post-profiling output path for run/replay. The caller has already
 /// finalized the sink (which may write the final checkpoint). Non-essential
 /// prose goes to `log` (a null stream under --quiet); requested files are
-/// always written.
-int emit_results(const cs::ArgParser& args, cc::Profiler& profiler,
-                 int threads, std::ostream& log) {
+/// always written. `heatmaps` is --heatmaps, read before profiling.
+int emit_results(const cs::ArgParser& args, int heatmaps,
+                 cc::Profiler& profiler, int threads, std::ostream& log) {
   cc::ReportOptions ropts;
-  ropts.heatmap_top = args.get_int_as<int>("heatmaps", 0);
+  ropts.heatmap_top = heatmaps;
   ropts.hide_quiet_regions = true;
   cc::print_report(log, profiler, ropts);
 
@@ -599,6 +596,9 @@ int cmd_run(const cs::ArgParser& args) {
   std::ostream& log = out_stream(quiet);
   const int threads = args.get_int_as<int>("threads", 8);
   const cs::Scale scale = parse_scale(args.get("scale", "dev"));
+  // Read before profiling, which a fault may end: a bad value must exit 2.
+  const int heatmaps = args.get_int_as<int>("heatmaps", 0);
+  const auto session = args.get_int_as<std::uint64_t>("ship-session", 0);
   maybe_enable_trace(args);
   auto profiler = std::make_unique<cc::Profiler>(profiler_options(args, threads));
   ResilienceStack resilience = make_resilience(args, *profiler);
@@ -650,11 +650,11 @@ int cmd_run(const cs::ArgParser& args) {
   overhead.profiler_peak_bytes = profiler->memory().peak();
   overhead.rss_peak_bytes = ctl::peak_rss_bytes();
 
-  int rc = emit_results(args, *profiler, threads, log);
+  int rc = emit_results(args, heatmaps, *profiler, threads, log);
   if (rc != 0) return rc;
   rc = write_epochs_output(args, *profiler, log);
   if (rc != 0) return rc;
-  maybe_ship_epochs(args, *profiler, threads, log);
+  maybe_ship_epochs(args, session, *profiler, threads, log);
   ctl::report_self_overhead(log, overhead);
   return write_observability_outputs(args, log);
 }
@@ -670,6 +670,9 @@ int cmd_replay(const cs::ArgParser& args) {
   int max_tid = 0;
   for (const ci::TraceEvent& e : events) max_tid = std::max(max_tid, int{e.tid});
   const int threads = args.get_int_as<int>("threads", std::max(2, max_tid + 1));
+  // Read before profiling, which a fault may end: a bad value must exit 2.
+  const int heatmaps = args.get_int_as<int>("heatmaps", 0);
+  const auto session = args.get_int_as<std::uint64_t>("ship-session", 0);
   std::ostream& log = out_stream(args.has("quiet"));
   maybe_enable_trace(args);
   cc::ProfilerOptions popts = profiler_options(args, threads);
@@ -711,11 +714,11 @@ int cmd_replay(const cs::ArgParser& args) {
   overhead.profiler_peak_bytes = profiler->memory().peak();
   overhead.rss_peak_bytes = ctl::peak_rss_bytes();
   log << "replayed " << events.size() << " events\n";
-  int rc = emit_results(args, *profiler, threads, log);
+  int rc = emit_results(args, heatmaps, *profiler, threads, log);
   if (rc != 0) return rc;
   rc = write_epochs_output(args, *profiler, log);
   if (rc != 0) return rc;
-  maybe_ship_epochs(args, *profiler, threads, log);
+  maybe_ship_epochs(args, session, *profiler, threads, log);
   ctl::report_self_overhead(log, overhead);
   return write_observability_outputs(args, log);
 }
@@ -953,12 +956,6 @@ int cmd_metrics(const cs::ArgParser& args) {
   return 0;
 }
 
-// Live view: run the workload through the guarded pipeline on a background
-// thread and refresh a small status block (events/s, memory, drops) from
-// this one. Every figure shown is read from an atomic (the sink's precise
-// event counter — forced on via count_events — the memory tracker, and the
-// telemetry registry), so the reader never races the worker threads'
-// unsynchronized per-thread counters.
 /// `top --connect=SOCKET`: the same live status block, but painted from a
 /// serve daemon's scrape endpoint instead of an in-process workload — the
 /// daemon is the workload. Exits 0 once a previously-answering daemon goes
@@ -1069,6 +1066,8 @@ int top_connect(const cs::ArgParser& args) {
   }
 }
 
+/// Live view: runs the workload on a background thread and repaints a status
+/// block from this one, reading only atomics (Profiler::stats() included).
 int cmd_top(const cs::ArgParser& args) {
   if (args.has("connect")) return top_connect(args);
   if (args.positional().size() < 2) return usage();
@@ -1086,9 +1085,7 @@ int cmd_top(const cs::ArgParser& args) {
 
   auto profiler =
       std::make_unique<cc::Profiler>(profiler_options(args, threads));
-  cr::GuardedSink::Options sopts;
-  sopts.count_events = true;  // a live-readable event counter is the point
-  cr::GuardedSink sink(*profiler, nullptr, sopts);
+  cr::GuardedSink sink(*profiler, nullptr, {});
   ct::ThreadTeam team(threads);
 
   std::atomic<bool> done{false};
@@ -1114,7 +1111,7 @@ int cmd_top(const cs::ArgParser& args) {
     const double elapsed = std::chrono::duration<double>(now - t0).count();
     const double window =
         std::chrono::duration<double>(now - prev_time).count();
-    const std::uint64_t events = sink.events();
+    const std::uint64_t events = profiler->stats().accesses;
     const double rate =
         window > 0.0
             ? static_cast<double>(events - prev_events) / window
