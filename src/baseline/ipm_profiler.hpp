@@ -34,7 +34,7 @@ class IpmProfiler final : public instrument::AccessSink {
   void on_loop_enter(int tid, instrument::LoopId id) override;
   void on_loop_exit(int tid) override;
   /// Events whose tid is outside [0, max_threads) are ignored: they have no
-  /// log to land in (ThreadRegistry::kUnregistered is never an index).
+  /// log to land in (a negative tid is never an index).
   void on_access(int tid, std::uintptr_t addr, std::uint32_t size,
                  instrument::AccessKind kind) override;
 

@@ -38,8 +38,7 @@ class Sd3Profiler final : public instrument::AccessSink {
   explicit Sd3Profiler(int max_threads);
 
   /// Events whose tid is outside [0, max_threads) are ignored: they have no
-  /// per-thread state to update (ThreadRegistry::kUnregistered is never an
-  /// index).
+  /// per-thread state to update (a negative tid is never an index).
   void on_thread_begin(int tid) override;
   void on_loop_enter(int tid, instrument::LoopId id) override;
   void on_loop_exit(int tid) override;

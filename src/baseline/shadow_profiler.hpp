@@ -45,8 +45,7 @@ class ShadowProfiler final : public instrument::AccessSink {
   void on_loop_enter(int tid, instrument::LoopId id) override;
   void on_loop_exit(int tid) override;
   /// Events whose tid is outside [0, max_threads) are ignored: the tid has
-  /// no reader bit and no matrix row (ThreadRegistry::kUnregistered is never
-  /// an index).
+  /// no reader bit and no matrix row (a negative tid is never an index).
   void on_access(int tid, std::uintptr_t addr, std::uint32_t size,
                  instrument::AccessKind kind) override;
 

@@ -231,11 +231,10 @@ class Profiler final : public instrument::AccessSink {
   /// once drained. With every batch drained, `accesses` is the event index.
   [[nodiscard]] ProfileStats stats() const;
 
-  /// Events dropped because their tid was outside [0, max_threads): calls
-  /// from a thread that never registered (ThreadRegistry::kUnregistered) or
-  /// from beyond the matrix dimension. Dropping with a count is the
-  /// graceful-degradation contract — indexing with such a tid would corrupt
-  /// per-thread state. Surfaced as report provenance when nonzero.
+  /// Events dropped because their tid was outside [0, max_threads): a
+  /// negative id or one beyond the matrix dimension. Dropping with a count
+  /// is the graceful-degradation contract — indexing with such a tid would
+  /// corrupt per-thread state. Surfaced as report provenance when nonzero.
   [[nodiscard]] std::uint64_t dropped_events() const noexcept {
     return dropped_events_.load(std::memory_order_relaxed);
   }

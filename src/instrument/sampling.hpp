@@ -36,10 +36,10 @@ class SamplingSink final : public AccessSink {
   }
   void on_loop_exit(int tid) override { inner_->on_loop_exit(tid); }
 
-  /// Tids outside the 64 sampled lanes (ThreadRegistry::kUnregistered, or
-  /// past the matrix dimension) are forwarded unsampled: they have no lane
-  /// to index, and the inner sink owns the out-of-range contract (the
-  /// Profiler drops and counts them).
+  /// Tids outside the 64 sampled lanes (negative, or past the matrix
+  /// dimension) are forwarded unsampled: they have no lane to index, and
+  /// the inner sink owns the out-of-range contract (the Profiler drops and
+  /// counts them).
   void on_access(int tid, std::uintptr_t addr, std::uint32_t size,
                  AccessKind kind) override {
     if (static_cast<unsigned>(tid) >= kLanes) [[unlikely]] {
@@ -60,18 +60,6 @@ class SamplingSink final : public AccessSink {
 
   void finalize() override { inner_->finalize(); }
   void on_drain(int tid) override { inner_->on_drain(tid); }
-
-  /// Degradation-ladder hook: halves the duty cycle by growing the dropped
-  /// burst (0 -> burst_on, else doubling), cutting the event volume the
-  /// downstream profiler sees. Returns false once the duty cycle has reached
-  /// the floor (1/64) and the ladder should move to its next rung. Reported
-  /// volumes remain correctable through scale_factor().
-  bool raise_stride() noexcept {
-    if (duty_cycle() <= 1.0 / 64.0) return false;
-    options_.burst_off =
-        options_.burst_off == 0 ? options_.burst_on : options_.burst_off * 2;
-    return true;
-  }
 
   [[nodiscard]] const SamplingOptions& options() const noexcept {
     return options_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <thread>
 
 #include <sstream>
@@ -11,10 +12,16 @@
 #include "support/atomic_file.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
+#include "threading/reentrancy.hpp"
 
 #if defined(__linux__)
 #include <sys/syscall.h>
 #include <unistd.h>
+#endif
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <pthread.h>
+#define COMMSCOPE_HAVE_ATFORK 1
 #endif
 
 namespace commscope::resilience {
@@ -39,23 +46,15 @@ bool register_membarrier() noexcept { return false; }
 void membarrier_sync() noexcept {}
 #endif
 
-// The most recently constructed live sink; ThreadRegistry flush hooks (fired
-// at exit()/fork()) reach it through this pointer because hooks are plain
-// function pointers. One process-wide slot matches the CLI's one-run-at-a-
-// time shape; a second concurrent sink simply isn't flushed by the hook.
+// The most recently constructed live sink; the exit and fork handler
+// reaches it through this pointer because atexit and pthread_atfork take
+// plain function pointers. One process-wide slot matches the CLI's
+// one-run-at-a-time shape; a second concurrent sink simply isn't flushed.
 std::atomic<GuardedSink*> g_active_sink{nullptr};
 
-void flush_active_sink() noexcept {
-  if (GuardedSink* sink = g_active_sink.load(std::memory_order_acquire)) {
-    sink->flush();
-  }
-}
-
-// Logical tid this thread last drove through the sink. The registry's dense
-// id and the sink's logical tid are different namespaces (harnesses hand
-// lanes their own ids), so the exiting thread itself records which batch it
-// owns; the registry thread-exit hook drains exactly that one.
-thread_local int t_last_tid = -1;
+/// Set while this thread runs flush_active(): a flush that exits (or forks)
+/// must not re-enter the maintenance lock it holds.
+thread_local bool t_in_flush = false;
 
 /// The event clock's per-thread half, tied to one sink by generation. Not
 /// the recorder's TlPending: a slot resets when it last served another
@@ -72,13 +71,6 @@ std::atomic<std::uint64_t> g_sink_gen{0};
 
 /// Widest clock stride (the recorder's kMaxCountStride).
 constexpr std::uint64_t kMaxClockStride = 64;
-
-void drain_active_sink_thread(int /*registry_tid*/) noexcept {
-  if (t_last_tid < 0) return;
-  if (GuardedSink* sink = g_active_sink.load(std::memory_order_acquire)) {
-    sink->on_drain(t_last_tid);
-  }
-}
 
 }  // namespace
 
@@ -126,20 +118,36 @@ GuardedSink::GuardedSink(core::Profiler& profiler, ResourceGuard* guard,
         serialize_checkpoint(*profiler_, meta, profiler_->stats()));
   }
   g_active_sink.store(this, std::memory_order_release);
-  static const bool hook_registered =
-      threading::ThreadRegistry::at_flush(&flush_active_sink);
-  (void)hook_registered;
-  // A worker that exits mid-phase drains its own micro-batch on the way out,
-  // while its logical tid is still unambiguously its.
-  static const bool exit_hook_registered =
-      threading::ThreadRegistry::at_thread_exit(&drain_active_sink_thread);
-  (void)exit_hook_registered;
+  static std::once_flag installed;
+  std::call_once(installed, [] {
+    std::atexit([] { flush_active(); });
+#if defined(COMMSCOPE_HAVE_ATFORK)
+    pthread_atfork([] { flush_active(); }, nullptr, nullptr);
+#endif
+  });
 }
 
 GuardedSink::~GuardedSink() {
   GuardedSink* self = this;
   g_active_sink.compare_exchange_strong(self, nullptr,
                                         std::memory_order_acq_rel);
+}
+
+void GuardedSink::flush_active() noexcept {
+  if (t_in_flush) return;
+  t_in_flush = true;
+  if (GuardedSink* sink = g_active_sink.load(std::memory_order_acquire)) {
+    sink->flush();
+  }
+  t_in_flush = false;
+}
+
+std::uint64_t GuardedSink::suppressed() const noexcept {
+  std::uint64_t n = 0;
+  for (const Slot& s : slots_) {
+    n += s.suppressed.load(std::memory_order_relaxed);
+  }
+  return n;
 }
 
 void GuardedSink::flush() noexcept {
@@ -158,8 +166,8 @@ void GuardedSink::flush() noexcept {
     write_checkpoint("partial", "flush");
     if (gate_) resume_the_world();
   } catch (...) {
-    // flush() runs from atexit/fork hooks; failure means no snapshot, never
-    // a crash on the way out.
+    // flush() runs from the exit and fork handler; failure means no
+    // snapshot, never a crash on the way out.
     if (gate_) resume_the_world();
   }
 }
@@ -307,7 +315,7 @@ void GuardedSink::on_thread_begin(int tid) {
 // micro-batch and move its region stack, which a world stop's flush_all()
 // reads, so on a gated sink they hold the safepoint like accesses do.
 void GuardedSink::on_loop_enter(int tid, instrument::LoopId id) {
-  threading::ThreadRegistry::ReentrancyGuard reent;
+  threading::ReentrancyGuard reent;
   if (!reent.engaged()) [[unlikely]] {
     reentrant_drops_.fetch_add(1, std::memory_order_relaxed);
     telemetry::counter("sink.reentrant_drops").add(1);
@@ -317,7 +325,7 @@ void GuardedSink::on_loop_enter(int tid, instrument::LoopId id) {
 }
 
 void GuardedSink::on_loop_exit(int tid) {
-  threading::ThreadRegistry::ReentrancyGuard reent;
+  threading::ReentrancyGuard reent;
   if (!reent.engaged()) [[unlikely]] {
     reentrant_drops_.fetch_add(1, std::memory_order_relaxed);
     telemetry::counter("sink.reentrant_drops").add(1);
@@ -331,28 +339,25 @@ void GuardedSink::on_access(int tid, std::uintptr_t addr, std::uint32_t size,
   // An instrumented allocator (or any client hook) that fires while the
   // profiler is itself allocating would recurse into the sink forever; the
   // outermost-entry guard turns that into a counted drop instead.
-  threading::ThreadRegistry::ReentrancyGuard reent;
+  threading::ReentrancyGuard reent;
   if (!reent.engaged()) [[unlikely]] {
     reentrant_drops_.fetch_add(1, std::memory_order_relaxed);
     telemetry::counter("sink.reentrant_drops").add(1);
     return;
   }
-  // Remembered for the thread-exit micro-batch drain; a thread keeps its
-  // tid, so the store almost never runs.
-  if (t_last_tid != tid) [[unlikely]] t_last_tid = tid;
-  // Ungated sinks pass through. A tid the profiler drops (unregistered, or
-  // past max_threads) takes no slot — it would share a live thread's — and
+  // Ungated sinks pass through. A tid the profiler drops (negative, or past
+  // max_threads) takes no slot — it would share a live thread's — and
   // no tick: the profiler counts the drop without touching per-thread state.
   if (!gate_ || static_cast<unsigned>(tid) >= threads_) {
     profiler_->on_access(tid, addr, size, kind);
     return;
   }
+  Slot& s = slots_[tid];
   if (suppressible_ && guard_->suppress_accesses()) [[unlikely]] {
-    suppressed_.fetch_add(1, std::memory_order_relaxed);
-    telemetry::counter("sink.suppressed").add(1);
+    s.suppressed.store(s.suppressed.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
     return;
   }
-  Slot& s = slots_[tid];
   safepoint_enter(s);
   profiler_->on_access(tid, addr, size, kind);
   safepoint_leave(s);
@@ -362,7 +367,7 @@ void GuardedSink::on_access(int tid, std::uintptr_t addr, std::uint32_t size,
 }
 
 void GuardedSink::on_drain(int tid) {
-  threading::ThreadRegistry::ReentrancyGuard reent;
+  threading::ReentrancyGuard reent;
   if (!reent.engaged()) [[unlikely]] {
     reentrant_drops_.fetch_add(1, std::memory_order_relaxed);
     telemetry::counter("sink.reentrant_drops").add(1);

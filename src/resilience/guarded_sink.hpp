@@ -37,7 +37,6 @@
 #include "resilience/crash_guard.hpp"
 #include "resilience/fault_injector.hpp"
 #include "resilience/resource_guard.hpp"
-#include "threading/registry.hpp"
 
 namespace commscope::resilience {
 
@@ -76,14 +75,19 @@ class GuardedSink final : public instrument::AccessSink {
   /// Best-effort flush: serialize the current profiler state and hand it to
   /// the CrashGuard's dump path and the checkpoint file, where set. Runs under
   /// the maintenance lock and, when the safepoint protocol is active, under
-  /// a stopped world. Registered as a ThreadRegistry flush hook so buffered
-  /// state survives exit() and fork() mid-phase.
+  /// a stopped world. flush_active() runs it at exit() and before fork(), so
+  /// buffered state survives either mid-phase.
   void flush() noexcept;
 
-  /// Access events dropped because the event budget was exhausted.
-  [[nodiscard]] std::uint64_t suppressed() const noexcept {
-    return suppressed_.load(std::memory_order_relaxed);
-  }
+  /// The exit and fork handler (atexit, pthread_atfork prepare), installed
+  /// once by the first sink: flushes the most recently constructed live
+  /// sink. A flush that re-enters it on the same thread (an exit() from
+  /// inside the flush) returns at once instead of recursing.
+  static void flush_active() noexcept;
+
+  /// Access events dropped because the event budget was exhausted: the sum
+  /// of the per-tid counts in the safepoint slots.
+  [[nodiscard]] std::uint64_t suppressed() const noexcept;
   /// Checkpoint files successfully written.
   [[nodiscard]] std::uint64_t checkpoints_written() const noexcept {
     return checkpoints_written_;
@@ -99,6 +103,9 @@ class GuardedSink final : public instrument::AccessSink {
  private:
   struct alignas(64) Slot {
     std::atomic<std::uint32_t> active{0};
+    /// Accesses of this tid the event budget dropped. Only the thread
+    /// driving the tid writes it (a load and a store); suppressed() sums.
+    std::atomic<std::uint64_t> suppressed{0};
   };
 
   /// A due mark that is never reached.
@@ -160,7 +167,6 @@ class GuardedSink final : public instrument::AccessSink {
   std::uint32_t stride_ = 1;  ///< ticks per publish to clock_
   std::uint64_t gen_ = 0;     ///< ties a thread's clock to this sink
 
-  std::atomic<std::uint64_t> suppressed_{0};
   std::atomic<std::uint64_t> reentrant_drops_{0};
   std::uint64_t checkpoints_written_ = 0;
   bool checkpoint_io_failed_ = false;

@@ -1,35 +1,14 @@
 #include "resilience/resource_guard.hpp"
 
-#include <cstdio>
-
 #include "telemetry/metrics.hpp"
 
 namespace commscope::resilience {
 
 bool ResourceGuard::apply_one_rung(std::uint64_t index,
                                    const std::string& reason) {
-  if (profiler_->degrade_exact_to_signature(index, reason)) {
-    telemetry::counter("guard.downshifts").add(1);
-    return true;
-  }
-  if (profiler_->degrade_regions_to_sparse(index, reason)) {
-    telemetry::counter("guard.downshifts").add(1);
-    return true;
-  }
-  if (sampler_ != nullptr) {
-    const std::uint64_t before = profiler_->memory_bytes();
-    if (sampler_->raise_stride()) {
-      char duty[32];
-      std::snprintf(duty, sizeof duty, "%.4f", sampler_->duty_cycle());
-      profiler_->record_degradation(core::DegradationEvent{
-          index, before, profiler_->memory_bytes(), reason,
-          std::string("sampling duty cycle lowered to ") + duty +
-              " (volumes correctable via scale_factor)"});
-      telemetry::counter("guard.downshifts").add(1);
-      return true;
-    }
-  }
-  if (profiler_->degrade_halve_slots(index, reason)) {
+  if (profiler_->degrade_exact_to_signature(index, reason) ||
+      profiler_->degrade_regions_to_sparse(index, reason) ||
+      profiler_->degrade_halve_slots(index, reason)) {
     telemetry::counter("guard.downshifts").add(1);
     return true;
   }

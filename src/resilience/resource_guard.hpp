@@ -8,8 +8,7 @@
 //
 //   1. exact backend        -> bounded asymmetric signature (state migrates)
 //   2. dense region matrices -> sparse representation
-//   3. sampling duty cycle  -> halved (when a SamplingSink is attached)
-//   4. signature slots      -> halved (floor 4096; detector state resets)
+//   3. signature slots      -> halved (floor 4096; detector state resets)
 //
 // Each applied rung is recorded as a DegradationEvent in the profiler, so a
 // degraded report carries its own provenance. When the ladder is exhausted
@@ -27,7 +26,6 @@
 #include <cstdint>
 
 #include "core/profiler.hpp"
-#include "instrument/sampling.hpp"
 #include "resilience/fault_injector.hpp"
 
 namespace commscope::resilience {
@@ -42,12 +40,8 @@ struct GuardOptions {
 class ResourceGuard {
  public:
   ResourceGuard(GuardOptions options, core::Profiler& profiler,
-                FaultInjector* injector = nullptr,
-                instrument::SamplingSink* sampler = nullptr)
-      : options_(options),
-        profiler_(&profiler),
-        injector_(injector),
-        sampler_(sampler) {}
+                FaultInjector* injector = nullptr)
+      : options_(options), profiler_(&profiler), injector_(injector) {}
 
   /// True when any guardrail is configured (or an injector can trip one);
   /// GuardedSink skips the safepoint protocol entirely otherwise.
@@ -97,7 +91,6 @@ class ResourceGuard {
   GuardOptions options_;
   core::Profiler* profiler_;
   FaultInjector* injector_;
-  instrument::SamplingSink* sampler_;
   // suppress_ is written only from check() (which runs with the world
   // stopped) but read from every thread's event path, so it is a relaxed
   // atomic. exhausted_ is only touched under the maintenance lock.

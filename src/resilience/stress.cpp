@@ -20,7 +20,6 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "threading/barrier.hpp"
-#include "threading/registry.hpp"
 
 namespace commscope::resilience {
 
@@ -98,9 +97,6 @@ struct LockstepShared {
 };
 
 void lockstep_lane(LockstepShared* sh, int lane) {
-  // Touch the registry the way instrumented application threads do, so churn
-  // really cycles leases even if the sink path never needs a dense id.
-  (void)threading::ThreadRegistry::current_tid();
   const std::vector<instrument::TraceEvent>& script = *sh->script;
   // A fresh thread's first step is its lane's kThreadBegin; a later one is a
   // churn, which this thread leaves for its replacement to execute.
@@ -121,7 +117,7 @@ void lockstep_lane(LockstepShared* sh, int lane) {
       ++sh->churns;
       sh->respawns.push_back(lane);
       sh->cv.notify_all();
-      return;  // thread exits; its ThreadRegistry lease is reclaimed
+      return;  // thread exits; a replacement takes over the lane
     }
     begun = true;
     // Holding the turnstile lock during the sink call is what makes the
@@ -160,9 +156,8 @@ std::uint64_t run_lockstep(const std::vector<instrument::TraceEvent>& script,
       const int lane = sh.respawns.back();
       sh.respawns.pop_back();
       lk.unlock();
-      // Join BEFORE respawning: the old thread's thread_local lease
-      // destructor has finished by the time join returns, so the new thread
-      // deterministically reuses the freed slot.
+      // Join BEFORE respawning: the lane's tid is never driven by two
+      // threads at once.
       lanes[static_cast<std::size_t>(lane)].join();
       lanes[static_cast<std::size_t>(lane)] =
           std::thread(lockstep_lane, &sh, lane);
@@ -225,7 +220,6 @@ FreePlan make_free_plan(const StressOptions& o) {
 void free_lane(const FreePlan& plan, instrument::AccessSink& sink,
                threading::Barrier& barrier, int lane) {
   sink.on_thread_begin(lane);
-  (void)threading::ThreadRegistry::current_tid();
   for (int p = 0; p < plan.phases; ++p) {
     const auto& w = plan.writer[static_cast<std::size_t>(p)];
     for (std::size_t word = 0; word < w.size(); ++word) {
@@ -410,7 +404,6 @@ StressReport run_stress(const StressOptions& options) {
     if (e.kind == instrument::TraceEvent::Kind::kAccess) ++report.accesses;
   }
 
-  const int leases_before = threading::ThreadRegistry::registered_count();
   const GuardedRun first = run_guarded(options, serial, plan);
   report.churns = first.churns;
   report.reentrant_drops = first.reentrant_drops;
@@ -421,8 +414,6 @@ StressReport run_stress(const StressOptions& options) {
         first.matrix == second.matrix && first.churns == second.churns;
     report.reentrant_drops += second.reentrant_drops;
   }
-  report.registry_leases = static_cast<std::uint64_t>(
-      threading::ThreadRegistry::registered_count() - leases_before);
 
   const core::Matrix oracle = run_oracle(options, serial);
   report.divergent_cells = count_divergent_cells(first.matrix, oracle);
@@ -453,7 +444,6 @@ bool run_stress_sweep(const std::vector<std::uint64_t>& seeds,
            << " mode=" << to_string(r.options.mode)
            << " batch=" << r.options.batch
            << " accesses=" << r.accesses << " churns=" << r.churns
-           << " leases=" << r.registry_leases
            << " bytes=" << r.guarded_total << "/" << r.oracle_total
            << " divergent=" << r.divergent_cells
            << " deterministic=" << (r.deterministic ? "yes" : "NO") << " "

@@ -1,24 +1,24 @@
 // Schedule-fuzzing stress harness with differential self-verification.
 //
-// The concurrency hardening in this layer (safepoints, slot reclamation,
+// The concurrency hardening in this layer (safepoints, batch drains,
 // saturating counters) is only trustworthy if it can be shown NOT to change
 // the answer. This harness generates seeded concurrent schedules, drives
 // them through the full guarded pipeline (exact backend + GuardedSink with
-// the safepoint gate forced on, plus real thread churn through the
-// ThreadRegistry), and cross-checks the resulting communication matrix
-// against a serial replay of the same schedule into the ShadowProfiler —
-// an independently implemented exact oracle. Any cell-level divergence is a
-// detector or lifecycle bug, not noise.
+// the safepoint gate forced on, plus real thread churn: a lane's tid passes
+// from an exiting thread to a fresh one), and cross-checks the resulting
+// communication matrix against a serial replay of the same schedule into
+// the ShadowProfiler — an independently implemented exact oracle. Any
+// cell-level divergence is a detector or lifecycle bug, not noise.
 //
 // Two schedule families, chosen so the expected matrix is well-defined:
 //
 //  * kLockstep — a single seeded global script (an instrument::TraceEvent
 //    stream) executed by real threads through a condition-variable
 //    turnstile, so the sink observes exactly the scripted interleaving while
-//    every event still runs on a distinct OS thread (distinct registry
-//    leases, distinct safepoint slots). A churn step is a second
-//    kThreadBegin for its lane: the executing thread exits there; a
-//    supervisor joins it (reclaiming its ThreadRegistry lease) and spawns a
+//    every event still runs on its lane's own OS thread (distinct safepoint
+//    slots, distinct per-thread event clocks). A churn step is a second
+//    kThreadBegin for its lane: the executing thread drains the lane's
+//    micro-batch and exits there; a supervisor joins it and spawns a
 //    replacement that announces and resumes the lane. The oracle replays
 //    the identical script serially with instrument::replay(), so equality
 //    must be exact.
@@ -78,7 +78,6 @@ struct StressReport {
   StressOptions options;
   std::uint64_t accesses = 0;        ///< access events in the schedule
   std::uint64_t churns = 0;          ///< thread exit/respawn cycles executed
-  std::uint64_t registry_leases = 0; ///< ThreadRegistry leases taken by the run
   std::uint64_t reentrant_drops = 0; ///< sink re-entries (expected 0 here)
   std::uint64_t divergent_cells = 0; ///< guarded vs oracle cell mismatches
   std::uint64_t guarded_total = 0;   ///< total bytes, guarded pipeline

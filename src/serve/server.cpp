@@ -494,10 +494,11 @@ void ServeServer::handle_epochs(Conn& c, const std::string& payload) {
                           fresh.size());
   }
 
-  if (journal_ && !fresh.empty()) {
+  if (journal_ && accepted != 0) {
     // The durability contract: the verbatim validated frame is journaled —
     // and the fsync-policy barrier runs — strictly before the ack leaves.
-    // An all-duplicate frame changes no state and is not re-journaled.
+    // An all-duplicate frame merges nothing but still moves the session's
+    // dedupe count, so it is journaled too: replay re-derives the count.
     const std::uint64_t journal_t0 = ctl::Tracer::now_ns();
     const std::string prefix =
         "session " + std::to_string(c.session) + "\n";

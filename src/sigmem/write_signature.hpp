@@ -39,10 +39,9 @@ class WriteSignature {
   WriteSignature& operator=(const WriteSignature&) = delete;
 
   /// Records thread `tid` as the last writer of `slot`. Contract: tid must
-  /// be a valid dense id (>= 0). A negative id — an unregistered thread, a
-  /// registry overflow sentinel — cannot be encoded in the tid+1 cell
-  /// scheme; it is rejected and counted instead of aliasing as a bogus
-  /// writer after the unsigned cast wraps.
+  /// be a valid dense id (>= 0). A negative id cannot be encoded in the
+  /// tid+1 cell scheme; it is rejected and counted instead of aliasing as a
+  /// bogus writer after the unsigned cast wraps.
   void record(std::size_t slot, int tid) noexcept {
     if (tid < 0) [[unlikely]] {
       rejected_.fetch_add(1, std::memory_order_relaxed);

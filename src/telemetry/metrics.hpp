@@ -18,7 +18,7 @@
 //     spinlock; call sites cache the returned reference.
 //   * All storage is static and trivially destructible, so metrics can be
 //     touched from thread_local destructors and atexit hooks at any point of
-//     process teardown (same contract as threading::ThreadRegistry).
+//     process teardown.
 //
 // Aggregated snapshots serialize to a line-oriented text format (v1) that
 // `commscope metrics` can read back, merge across runs (counters and

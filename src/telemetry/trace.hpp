@@ -33,7 +33,7 @@ enum class SpanCat : std::uint8_t {
   kLoop,        ///< annotated loop region (paper's region tree)
   kRun,         ///< whole workload / pipeline stages
   kFlush,       ///< GuardedSink::flush (exit/fork/maintenance serialization)
-  kQuiesce,     ///< stop-the-world / registry quiesce windows
+  kQuiesce,     ///< stop-the-world windows
   kCheckpoint,  ///< checkpoint serialization + IO
   kGuard,       ///< ResourceGuard budget checks
   kDegrade,     ///< degradation-ladder transitions

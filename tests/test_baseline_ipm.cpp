@@ -94,8 +94,8 @@ TEST(IpmProfiler, ConcurrentAppendsAllRecorded) {
 }
 
 TEST(IpmProfiler, IgnoresOutOfRangeTids) {
-  // -1 is ThreadRegistry::kUnregistered; 4 is the thread count. Neither has
-  // a log: both are ignored, and the replay sees only the valid pair.
+  // -1 is negative; 4 is the thread count. Neither has a log: both are
+  // ignored, and the replay sees only the valid pair.
   cb::IpmProfiler ipm(4);
   ipm.on_access(0, 0x6000, 8, ci::AccessKind::kWrite);
   for (const int tid : {-1, 4}) {

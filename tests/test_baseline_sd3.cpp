@@ -135,8 +135,8 @@ TEST(Sd3Profiler, NegativeStrideCompresses) {
 }
 
 TEST(Sd3Profiler, IgnoresOutOfRangeTids) {
-  // -1 is ThreadRegistry::kUnregistered; 4 is the thread count. Neither has
-  // per-thread state: every event for them is ignored.
+  // -1 is negative; 4 is the thread count. Neither has per-thread state:
+  // every event for them is ignored.
   cb::Sd3Profiler sd3(4);
   const ci::LoopId l = loop_id("outofrange");
   for (const int tid : {-1, 4}) {

@@ -88,9 +88,9 @@ TEST(ShadowProfiler, RejectsBadThreadCounts) {
 }
 
 TEST(ShadowProfiler, IgnoresOutOfRangeTids) {
-  // -1 is ThreadRegistry::kUnregistered; 4 is the thread count. Neither has
-  // a reader bit or a matrix row: their reads and writes are ignored, so
-  // they neither record a dependency nor displace the last valid writer.
+  // -1 is negative; 4 is the thread count. Neither has a reader bit or a
+  // matrix row: their reads and writes are ignored, so they neither record
+  // a dependency nor displace the last valid writer.
   cb::ShadowProfiler shadow(4);
   for (const int tid : {-1, 4}) {
     shadow.on_access(tid, 0xB000, 8, ci::AccessKind::kWrite);

@@ -359,10 +359,8 @@ TEST(Profiler, DropsEventsFromUnregisteredAndOverflowTids) {
   for (const auto backend :
        {cc::Backend::kExact, cc::Backend::kAsymmetricSignature}) {
     cc::Profiler p(small_options(backend));
-    // A thread that never got a registry slot carries tid -1
-    // (ThreadRegistry::kUnregistered); one past the table carries
-    // tid >= max_threads. Both must degrade to counted drops, not index
-    // out-of-bounds thread contexts.
+    // A caller's tid may be negative or at least max_threads. Both must
+    // degrade to counted drops, not index out-of-bounds thread contexts.
     p.on_thread_begin(-1);
     p.on_loop_enter(-1, 7);
     p.on_access(-1, 0x1000, 8, ci::AccessKind::kWrite);

@@ -9,11 +9,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/profiler.hpp"
 #include "core/report.hpp"
 #include "instrument/loop_registry.hpp"
-#include "instrument/sampling.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/fault_injector.hpp"
 #include "resilience/guarded_sink.hpp"
@@ -22,6 +23,7 @@
 #include "support/atomic_file.hpp"
 #include "support/memtrack.hpp"
 #include "telemetry/metrics.hpp"
+#include "threading/reentrancy.hpp"
 
 namespace cc = commscope::core;
 namespace ci = commscope::instrument;
@@ -247,24 +249,6 @@ TEST(ResourceGuard, MemBudgetWalksLadderUntilExhaustedButRunSurvives) {
   EXPECT_EQ(prof.degradations().size(), n);
 }
 
-TEST(ResourceGuard, SamplingRungLowersDutyCycle) {
-  cc::ProfilerOptions o;
-  o.max_threads = 4;
-  o.signature_slots = 4096;  // already at floor: only sparse + sampler rungs
-  cc::Profiler prof(o);
-  ci::SamplingSink sampler(prof, ci::SamplingOptions{});
-  cr::GuardOptions g;
-  g.mem_budget_bytes = 1;
-  cr::ResourceGuard guard(g, prof, nullptr, &sampler);
-  guard.check(50);
-  EXPECT_LE(sampler.duty_cycle(), 1.0 / 64.0 + 1e-9);
-  bool sampling_logged = false;
-  for (const cc::DegradationEvent& d : prof.degradations()) {
-    if (d.action.find("duty cycle") != std::string::npos) sampling_logged = true;
-  }
-  EXPECT_TRUE(sampling_logged);
-}
-
 TEST(ResourceGuard, EventBudgetSuppressesAccessesButKeepsStructure) {
   cc::ProfilerOptions o;
   o.max_threads = 4;
@@ -289,6 +273,41 @@ TEST(ResourceGuard, EventBudgetSuppressesAccessesButKeepsStructure) {
   sink.on_loop_enter(0, id);
   sink.on_loop_exit(0);
   EXPECT_EQ(prof.regions().root().children().empty(), false);
+}
+
+// Suppression counts per tid: every access a gated lane delivers is either
+// profiled or counted as suppressed, at any number of lanes.
+TEST(ResourceGuard, SuppressedPlusProfiledEqualsDeliveredAtFourLanes) {
+  constexpr int kLanes = 4;
+  constexpr int kPerLane = 20000;
+  cc::ProfilerOptions o;
+  o.max_threads = kLanes;
+  o.batch_size = 64;
+  cc::Profiler prof(o);
+  cr::GuardOptions g;
+  g.event_budget = 1000;
+  g.check_interval = 64;
+  cr::ResourceGuard guard(g, prof);
+  cr::GuardedSink sink(prof, &guard, {});
+  std::vector<std::thread> lanes;
+  for (int t = 0; t < kLanes; ++t) {
+    lanes.emplace_back([&sink, t] {
+      sink.on_thread_begin(t);
+      for (int i = 0; i < kPerLane; ++i) {
+        sink.on_access(t, 0x10000u + 8u * static_cast<unsigned>(i % 512), 8,
+                       i % 3 == 0 ? ci::AccessKind::kWrite
+                                  : ci::AccessKind::kRead);
+      }
+    });
+  }
+  for (std::thread& l : lanes) l.join();
+  sink.finalize();
+  EXPECT_TRUE(guard.suppress_accesses());
+  EXPECT_GT(sink.suppressed(), 0u);
+  EXPECT_EQ(prof.stats().accesses + sink.suppressed(),
+            static_cast<std::uint64_t>(kLanes) * kPerLane);
+  EXPECT_EQ(commscope::telemetry::gauge("sink.suppressed").value(),
+            sink.suppressed());
 }
 
 TEST(ResourceGuard, InjectedAllocationFailureTakesOneRung) {
@@ -566,7 +585,7 @@ TEST(GuardedSink, ReentrantEventsAreDroppedAndCounted) {
   // the thread already marked in-runtime, sink entries must drop (counted)
   // instead of recursing into profiler state mid-mutation.
   {
-    commscope::threading::ThreadRegistry::ReentrancyGuard outer;
+    commscope::threading::ReentrancyGuard outer;
     ASSERT_TRUE(outer.engaged());
     sink.on_access(0, 0x5000, 8, ci::AccessKind::kWrite);
     sink.on_loop_enter(0, 3);
@@ -582,14 +601,14 @@ TEST(GuardedSink, ReentrantEventsAreDroppedAndCounted) {
   EXPECT_EQ(prof.stats().accesses, 1u);
 }
 
-TEST(GuardedSink, SinkCallsFromNeverRegisteredThreadDegrade) {
+TEST(GuardedSink, SinkCallsWithOutOfRangeTidDegrade) {
   cc::ProfilerOptions o;
   o.max_threads = 2;
   o.backend = cc::Backend::kExact;
   cc::Profiler prof(o);
   cr::GuardedSink sink(prof, nullptr, {});
-  // tid -1 models a thread the registry never admitted (table overflow):
-  // the event is dropped with provenance, never a crash or OOB index.
+  // tid -1 models a caller passing an id outside [0, max_threads): the
+  // event is dropped with provenance, never a crash or OOB index.
   sink.on_thread_begin(-1);
   sink.on_access(-1, 0x6000, 8, ci::AccessKind::kWrite);
   sink.on_loop_enter(-1, 1);
@@ -610,7 +629,7 @@ TEST(GuardedSink, FlushWritesPartialSnapshotMidRun) {
   opts.checkpoint_every = 1u << 30;  // periodic never fires; only flush does
   cr::GuardedSink sink(prof, nullptr, opts);
   drive_pairs(sink, 16);
-  // flush() is what the registry's atexit/fork hooks invoke; the written
+  // flush() is what the exit and fork handler invokes; the written
   // snapshot must parse, resume, and carry the pre-flush dependency count.
   sink.flush();
   const cr::Checkpoint ck = cr::load_checkpoint(path);

@@ -90,9 +90,9 @@ TEST(SamplingSink, ControlEventsAlwaysPassThrough) {
 }
 
 TEST(SamplingSink, OutOfRangeTidsPassThroughUnsampled) {
-  // -1 is ThreadRegistry::kUnregistered; 64 is one past the sampler's lanes.
-  // Neither may index a lane: both reach the inner sink unsampled, and a
-  // Profiler underneath drops and counts them.
+  // -1 is negative; 64 is one past the sampler's lanes. Neither may index a
+  // lane: both reach the inner sink unsampled, and a Profiler underneath
+  // drops and counts them.
   CountingSink inner;
   ci::SamplingSink sampler(inner, {.burst_on = 1, .burst_off = 3});
   for (const int tid : {-1, 64}) {

@@ -749,7 +749,7 @@ std::string read_file(const std::string& path) {
 TEST(ServeDurable, RecoveredSnapshotMatchesUninterruptedDaemon) {
   // Kill-and-resume must equal an uninterrupted run: replaying the WAL a
   // kill -9 leaves behind has to rebuild every snapshot field, including
-  // the dedupe count of a partly redelivered frame.
+  // the dedupe counts of a partly and a wholly redelivered frame.
   const std::string socket = next_socket_path();
   const std::string state = next_state_dir();
   const std::string crashed = next_state_dir();
@@ -766,6 +766,10 @@ TEST(ServeDurable, RecoveredSnapshotMatchesUninterruptedDaemon) {
   raw_send(fd, sv::encode_frame(sv::FrameType::kEpochs,
                                 epochs_document(make_truth(2, 0x32, 1))));
   EXPECT_EQ(await_ack(fd), "2 accepted");
+  // Epochs 1 and 2 again: all duplicates, merging nothing.
+  raw_send(fd, sv::encode_frame(sv::FrameType::kEpochs,
+                                epochs_document(make_truth(2, 0x33, 1))));
+  EXPECT_EQ(await_ack(fd), "2 accepted");
   ::close(fd);
 
   // Every acked record is already written, so a copy now is what kill -9
@@ -773,11 +777,11 @@ TEST(ServeDurable, RecoveredSnapshotMatchesUninterruptedDaemon) {
   std::filesystem::copy(state, crashed);
   h.stop();  // the clean stop compacts into a snapshot
   const std::string uninterrupted = read_file(state + "/snapshot.commscope");
-  ASSERT_NE(uninterrupted.find(" deduped 1 "), std::string::npos);
+  ASSERT_NE(uninterrupted.find(" deduped 3 "), std::string::npos);
 
   sv::ServeServer recovered(durable_options(next_socket_path(), crashed));
   ASSERT_TRUE(recovered.open()) << recovered.last_error();
-  EXPECT_EQ(recovered.snapshot().recovery_records, 3u);
+  EXPECT_EQ(recovered.snapshot().recovery_records, 4u);
   EXPECT_EQ(read_file(crashed + "/snapshot.commscope"), uninterrupted);
 }
 

@@ -253,7 +253,7 @@ TEST(SizeModel, StricterFprCostsMoreBits) {
 
 TEST(WriteSignature, RejectsNegativeTidsWithCount) {
   sg::WriteSignature ws(64);
-  ws.record(3, -1);  // e.g. ThreadRegistry::kUnregistered leaking through
+  ws.record(3, -1);  // a caller's out-of-range tid leaking through
   EXPECT_FALSE(ws.last_writer(3).has_value());
   EXPECT_EQ(ws.rejected(), 1u);
   ws.record(3, 5);

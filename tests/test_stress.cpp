@@ -1,6 +1,7 @@
 // Schedule-fuzzing stress harness tests: the differential self-verification
 // contract (guarded pipeline == serial shadow oracle, cell-for-cell), seeded
-// determinism, thread churn through the registry, and mirrored sampling.
+// determinism, thread churn (a lane's tid passing to a fresh thread), and
+// mirrored sampling.
 // Scenario sizes are kept small — this suite doubles as the `ctest -L
 // stress` tier-1 smoke and must stay fast on a single-core runner; the CLI
 // (`commscope stress`) runs the full acceptance grid.
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -24,13 +26,13 @@
 #include "resilience/stress.hpp"
 #include "serve/server.hpp"
 #include "serve/shipper.hpp"
-#include "threading/registry.hpp"
+#include "support/memtrack.hpp"
 #include "telemetry/trace.hpp"
 
 namespace cc = commscope::core;
 namespace ci = commscope::instrument;
 namespace cr = commscope::resilience;
-namespace ct = commscope::threading;
+namespace cs = commscope::support;
 namespace ctl = commscope::telemetry;
 namespace sv = commscope::serve;
 
@@ -49,7 +51,6 @@ cr::StressOptions small_options(cr::StressMode mode) {
 }  // namespace
 
 TEST(Stress, LockstepMatchesOracleWithChurn) {
-  const int leases_before = ct::ThreadRegistry::registered_count();
   const cr::StressReport r = cr::run_stress(small_options(cr::StressMode::kLockstep));
   EXPECT_TRUE(r.passed);
   EXPECT_EQ(r.divergent_cells, 0u);
@@ -58,9 +59,6 @@ TEST(Stress, LockstepMatchesOracleWithChurn) {
   EXPECT_GT(r.churns, 0u);  // thread exit/respawn really happened
   EXPECT_EQ(r.guarded_total, r.oracle_total);
   EXPECT_EQ(r.reentrant_drops, 0u);
-  // Every lane plus every churn replacement took a registry lease (twice:
-  // the determinism re-run), and all of them were reclaimed.
-  EXPECT_GT(ct::ThreadRegistry::registered_count(), leases_before);
 }
 
 TEST(Stress, FreeRunMatchesOracleUnderRealConcurrency) {
@@ -170,9 +168,9 @@ TEST(Stress, RejectsOutOfRangeOptions) {
 //
 // The batched ingest pipeline buffers admitted accesses per thread; every
 // lifecycle edge that could observe or discard profiler state must drain
-// those buffers first. Each test pins one edge: explicit flush (the same
-// path the atexit/fork/signal-time hooks take), periodic checkpoints, the
-// registry flush hooks themselves, and thread exit.
+// those buffers first. Each test pins one edge: explicit flush (the path
+// the exit and fork handler takes), periodic checkpoints, process exit
+// itself, and a tid whose thread exits with accesses still buffered.
 
 namespace {
 
@@ -223,20 +221,76 @@ TEST(FlushOrdering, PeriodicCheckpointDrainsBatch) {
   EXPECT_EQ(prof.pending_events(0), 0u);
 }
 
-TEST(FlushOrdering, RegistryFlushHooksDrainActiveSink) {
-  cc::Profiler prof(batched_profiler_options());
+// exit() runs the sink's exit handler: a mid-phase exit with an access still
+// buffered leaves a snapshot that covers it.
+TEST(FlushOrdering, ExitFlushDrainsActiveSink) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "stress_exit_flush.ck";
+  std::remove(path.c_str());
+  EXPECT_EXIT(
+      {
+        cc::Profiler prof(batched_profiler_options());
+        cr::GuardedSink::Options so;
+        so.checkpoint_every = 1 << 20;  // gate on; no periodic firing
+        so.checkpoint_path = path;
+        cr::GuardedSink sink(prof, nullptr, so);
+        sink.on_thread_begin(0);
+        sink.on_access(0, 0x7000, 8, ci::AccessKind::kWrite);
+        if (prof.pending_events(0) != 1) std::_Exit(1);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  const cr::Checkpoint ck = cr::load_checkpoint(path);
+  EXPECT_EQ(ck.meta.reason, "flush");
+  EXPECT_EQ(ck.meta.state, "partial");
+  EXPECT_EQ(ck.meta.events, 1u);
+  EXPECT_EQ(ck.stats.accesses, 1u);
+  std::remove(path.c_str());
+}
+
+namespace {
+
+/// Re-enters the exit path from inside a flush: the drain's first tracked
+/// allocation calls flush_active() again, as an exit() from inside the
+/// flush would.
+struct ReenteringObserver final : cs::AllocObserver {
+  int calls = 0;
+  void on_tracked_alloc(std::size_t) noexcept override {
+    ++calls;
+    cr::GuardedSink::flush_active();
+  }
+};
+
+}  // namespace
+
+// The exit path's per-thread recursion guard: the nested call returns at
+// once instead of taking the maintenance lock the outer flush holds (a
+// recursion deadlocks here), and one snapshot is written.
+TEST(FlushOrdering, ExitFlushDoesNotRecurse) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "stress_exit_recursion.ck";
+  cc::ProfilerOptions po = batched_profiler_options();
+  po.backend = cc::Backend::kExact;  // each new address is a tracked cell
+  cc::Profiler prof(po);
   cr::GuardedSink::Options so;
   so.checkpoint_every = 1 << 20;
+  so.checkpoint_path = path;
   cr::GuardedSink sink(prof, nullptr, so);
   sink.on_thread_begin(0);
   sink.on_access(0, 0x7000, 8, ci::AccessKind::kWrite);
-  EXPECT_EQ(prof.pending_events(0), 1u);
-  // The registered flush hooks are exactly what atexit and pthread_atfork
-  // run; invoking them directly proves buffered state reaches the sink even
-  // when the process exits or forks mid-phase.
-  ct::ThreadRegistry::run_flush_hooks();
+  ASSERT_EQ(prof.pending_events(0), 1u);
+  ReenteringObserver observer;
+  prof.memory().set_observer(&observer);
+  cr::GuardedSink::flush_active();
+  prof.memory().set_observer(nullptr);
+  EXPECT_GT(observer.calls, 0);
+  EXPECT_EQ(sink.checkpoints_written(), 1u);
   EXPECT_EQ(prof.pending_events(0), 0u);
-  EXPECT_EQ(prof.stats().accesses, 1u);
+  EXPECT_EQ(cr::load_checkpoint(path).meta.reason, "flush");
+  // The guard is released on the way out: a later exit flush runs again.
+  cr::GuardedSink::flush_active();
+  EXPECT_EQ(sink.checkpoints_written(), 2u);
+  std::remove(path.c_str());
 }
 
 // With a memory budget alone (no checkpoint, injector or event budget),
@@ -487,7 +541,6 @@ TEST(FlushOrdering, EpochRingInvariantsHoldUnderThreadChurn) {
       for (int t = 0; t < kLanes; ++t) {
         lanes.emplace_back([&prof, t, wave, n = k.per_lane,
                             stripe = k.flusher ? kStripe : 0] {
-          (void)ct::ThreadRegistry::current_tid();
           prof.on_thread_begin(t);
           const auto stripe_addr = [stripe](int w, int lane, int i) {
             return 0x100000u +
@@ -653,21 +706,30 @@ TEST(TraceRing, ServeSessionReapUnderChurnKeepsDaemonConsistent) {
   std::remove(so.spill_path.c_str());
 }
 
-TEST(FlushOrdering, ThreadExitDrainsOwnMicroBatch) {
+// A batch lives with its tid, not its OS thread: a thread that exits with
+// accesses buffered leaves them for the tid's next thread, whose
+// on_thread_begin drains them before it resets the region stack.
+TEST(FlushOrdering, ExitedThreadsBatchDrainsAtTheTidsNextBegin) {
   cc::Profiler prof(batched_profiler_options());
   cr::GuardedSink sink(prof, nullptr, {});
-  std::thread worker([&] {
-    // Lease a registry slot so the thread-exit hook runs for this thread.
-    (void)ct::ThreadRegistry::current_tid();
+  const auto drive = [&](std::uintptr_t base) {
     sink.on_thread_begin(2);
     for (int i = 0; i < 3; ++i) {
-      sink.on_access(2, 0x8000u + 8u * static_cast<unsigned>(i), 8,
+      sink.on_access(2, base + 8u * static_cast<unsigned>(i), 8,
                      ci::AccessKind::kWrite);
     }
-    EXPECT_EQ(prof.pending_events(2), 3u);
+  };
+  std::thread first([&] { drive(0x8000); });
+  first.join();
+  EXPECT_EQ(prof.pending_events(2), 3u);
+  EXPECT_EQ(prof.stats().accesses, 0u);
+  std::thread second([&] {
+    drive(0x9000);
+    EXPECT_EQ(prof.stats().accesses, 3u);  // the first thread's, drained
   });
-  worker.join();
-  // The exiting thread drained its own batch (logical tid 2) on the way out.
+  second.join();
+  EXPECT_EQ(prof.pending_events(2), 3u);
+  sink.finalize();
   EXPECT_EQ(prof.pending_events(2), 0u);
-  EXPECT_EQ(prof.stats().accesses, 3u);
+  EXPECT_EQ(prof.stats().accesses, 6u);
 }

@@ -1,17 +1,16 @@
 // Threading substrate tests: partitioning properties (parameterized sweep),
-// spinlock mutual exclusion, barrier phasing, ThreadTeam execution.
+// spinlock mutual exclusion, barrier phasing, ThreadTeam execution, and the
+// runtime's per-thread reentrancy guard.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
-#include <cstdint>
 #include <mutex>
 #include <numeric>
 #include <thread>
 #include <vector>
 
 #include "threading/barrier.hpp"
-#include "threading/registry.hpp"
+#include "threading/reentrancy.hpp"
 #include "threading/spinlock.hpp"
 #include "threading/thread_pool.hpp"
 
@@ -153,123 +152,24 @@ TEST(ThreadTeam, RejectsZeroWorkers) {
   EXPECT_THROW(ct::ThreadTeam(0), std::invalid_argument);
 }
 
-TEST(ThreadRegistry, StableWithinThread) {
-  const int a = ct::ThreadRegistry::current_tid();
-  const int b = ct::ThreadRegistry::current_tid();
-  EXPECT_EQ(a, b);
-  int other = -1;
-  std::thread t([&] { other = ct::ThreadRegistry::current_tid(); });
-  t.join();
-  EXPECT_NE(other, a);
-  EXPECT_GE(ct::ThreadRegistry::registered_count(), 2);
-}
-
-TEST(ThreadRegistry, SlotReclaimedAndReusedAfterThreadExit) {
-  int first = -1;
-  std::thread t1([&] { first = ct::ThreadRegistry::current_tid(); });
-  t1.join();  // join guarantees the lease destructor has run
-  ASSERT_GE(first, 0);
-  const int live_between = ct::ThreadRegistry::live_count();
-  int second = -1;
-  std::thread t2([&] { second = ct::ThreadRegistry::current_tid(); });
-  t2.join();
-  // Lowest-free-slot leasing makes reuse deterministic once the predecessor
-  // is joined: the successor lands exactly where the exited thread was.
-  EXPECT_EQ(second, first);
-  EXPECT_EQ(ct::ThreadRegistry::live_count(), live_between);
-}
-
-TEST(ThreadRegistry, ChurnNeverLeaksLiveSlots) {
-  const int live_before = ct::ThreadRegistry::live_count();
-  for (int round = 0; round < 50; ++round) {
-    std::thread t([] { (void)ct::ThreadRegistry::current_tid(); });
+TEST(ReentrancyGuard, EngagesOutermostOnly) {
+  {
+    ct::ReentrancyGuard outer;
+    EXPECT_TRUE(outer.engaged());
+    {
+      ct::ReentrancyGuard inner;
+      EXPECT_FALSE(inner.engaged());
+      ct::ReentrancyGuard innermost;
+      EXPECT_FALSE(innermost.engaged());
+    }
+    // The inner guards' exits leave the outer one holding this thread...
+    EXPECT_FALSE(ct::ReentrancyGuard().engaged());
+    // ...and only this thread: another thread's first guard is outermost.
+    bool other_engaged = false;
+    std::thread t([&] { other_engaged = ct::ReentrancyGuard().engaged(); });
     t.join();
+    EXPECT_TRUE(other_engaged);
   }
-  EXPECT_EQ(ct::ThreadRegistry::live_count(), live_before);
-  EXPECT_GE(ct::ThreadRegistry::registered_count(), 50);
-}
-
-TEST(ThreadRegistry, OverflowDegradesToUnregistered) {
-  // Park enough registered threads to fill every slot, then one more must
-  // get kUnregistered (a counted degrade) rather than an out-of-range id.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  std::vector<std::thread> parked;
-  const int to_park = ct::ThreadRegistry::capacity() -
-                      ct::ThreadRegistry::live_count();
-  ASSERT_GT(to_park, 0);
-  std::atomic<int> registered{0};
-  for (int i = 0; i < to_park; ++i) {
-    parked.emplace_back([&] {
-      (void)ct::ThreadRegistry::current_tid();
-      registered.fetch_add(1);
-      std::unique_lock lk(mu);
-      cv.wait(lk, [&] { return release; });
-    });
-  }
-  while (registered.load() < to_park) std::this_thread::yield();
-  EXPECT_EQ(ct::ThreadRegistry::live_count(), ct::ThreadRegistry::capacity());
-
-  const std::uint64_t overflows_before = ct::ThreadRegistry::overflows();
-  int overflow_tid = 0;
-  std::thread extra([&] { overflow_tid = ct::ThreadRegistry::current_tid(); });
-  extra.join();
-  EXPECT_EQ(overflow_tid, ct::ThreadRegistry::kUnregistered);
-  EXPECT_GT(ct::ThreadRegistry::overflows(), overflows_before);
-
-  {
-    std::lock_guard lk(mu);
-    release = true;
-  }
-  cv.notify_all();
-  for (auto& t : parked) t.join();
-
-  // Churn freed the table: the overflow was transient, not sticky.
-  int late_tid = ct::ThreadRegistry::kUnregistered;
-  std::thread late([&] { late_tid = ct::ThreadRegistry::current_tid(); });
-  late.join();
-  EXPECT_GE(late_tid, 0);
-}
-
-TEST(ThreadRegistry, ReentrancyGuardEngagesOutermostOnly) {
-  EXPECT_FALSE(ct::ThreadRegistry::in_runtime());
-  ct::ThreadRegistry::ReentrancyGuard outer;
-  EXPECT_TRUE(outer.engaged());
-  EXPECT_TRUE(ct::ThreadRegistry::in_runtime());
-  {
-    ct::ThreadRegistry::ReentrancyGuard inner;
-    EXPECT_FALSE(inner.engaged());
-    ct::ThreadRegistry::ReentrancyGuard innermost;
-    EXPECT_FALSE(innermost.engaged());
-  }
-  EXPECT_TRUE(ct::ThreadRegistry::in_runtime());
-}
-
-namespace {
-std::vector<int>& flush_order() {
-  // Deliberately leaked: the registered hooks fire again from the
-  // registry's atexit pass, which can run after a plain static's
-  // destructor — an immortal store keeps that exit-time call safe.
-  static std::vector<int>* order = new std::vector<int>();
-  return *order;
-}
-void flush_hook_a() noexcept { flush_order().push_back(1); }
-void flush_hook_b() noexcept { flush_order().push_back(2); }
-void flush_hook_recursive() noexcept {
-  flush_order().push_back(3);
-  // A hook that itself triggers a flush (e.g. exit() called from a handler)
-  // must not recurse.
-  ct::ThreadRegistry::run_flush_hooks();
-}
-}  // namespace
-
-TEST(ThreadRegistry, FlushHooksRunNewestFirstWithoutRecursion) {
-  ASSERT_TRUE(ct::ThreadRegistry::at_flush(&flush_hook_a));
-  ASSERT_TRUE(ct::ThreadRegistry::at_flush(&flush_hook_b));
-  ASSERT_TRUE(ct::ThreadRegistry::at_flush(&flush_hook_recursive));
-  EXPECT_FALSE(ct::ThreadRegistry::at_flush(nullptr));
-  flush_order().clear();
-  ct::ThreadRegistry::run_flush_hooks();
-  EXPECT_EQ(flush_order(), (std::vector<int>{3, 2, 1}));
+  // With the outer guard gone, the next entry is outermost again.
+  EXPECT_TRUE(ct::ReentrancyGuard().engaged());
 }

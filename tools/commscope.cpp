@@ -884,7 +884,7 @@ int cmd_stress(const cs::ArgParser& args) {
         const cr::StressReport r = cr::run_stress(o);
         log << "seed=" << seed << " threads=" << t << " mode="
             << cr::to_string(o.mode) << " accesses=" << r.accesses
-            << " churns=" << r.churns << " leases=" << r.registry_leases
+            << " churns=" << r.churns
             << " bytes=" << r.guarded_total << "/" << r.oracle_total
             << " divergent=" << r.divergent_cells << " deterministic="
             << (r.deterministic ? "yes" : "NO") << " "
@@ -1133,8 +1133,7 @@ int cmd_top(const cs::ArgParser& args) {
               << cs::Table::bytes(profiler->memory_bytes()) << "  (peak "
               << cs::Table::bytes(profiler->memory().peak()) << ")  RSS "
               << cs::Table::bytes(ctl::current_rss_bytes()) << "\n"
-              << clear << "  live threads "
-              << ct::ThreadRegistry::live_count() << "  dropped events "
+              << clear << "  dropped events "
               << profiler->dropped_events() << "  degradations "
               << ctl::counter("profiler.degradations").value() << "\n";
     std::cout.flush();
