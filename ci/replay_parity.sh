@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Replay parity between two commscope builds. Records every workload once
 # with OLD_CLI (--scale=small --threads=4), replays each trace with both
-# CLIs at --batch=0 and --batch=64 under four configurations, and compares
+# CLIs at --batch=0 and --batch=64 under five configurations, and compares
 # with cmp: the --epochs-out file, the --save-matrix file, and the report
 # without its timing, memory and output-path lines. The fourth config runs
 # the gated GuardedSink path (budgets that never fire) under the recorder.
+# The fifth runs the stack commbench's live-features workload runs: the
+# pass-through GuardedSink with an armed watchdog and the perf engine
+# (degraded where perf_event_open is refused).
 # No config uses --checkpoint: a checkpoint forces a kCheckpoint epoch seal,
 # and where that seal lands is tied to the checkpoint's event index, so
 # builds that define the index differently disagree on --epochs-out while
@@ -45,6 +48,7 @@ configs=(
   "--epoch-every=1000 --epoch-ring=100000 --phases=65536 --dvfs"
   "--epochs=7 --backend=exact"
   "--epoch-every=1000 --epoch-ring=100000 --phases=65536 --mem-budget=1G --event-budget=1000000000000"
+  "--epoch-every=1000 --epoch-ring=100000 --phases=65536 --timeout=100 --perf"
 )
 apps=$("$old" list | awk -F'|' '/^\|/ { gsub(/ /, "", $2); if ($2 != "workload") print $2 }')
 

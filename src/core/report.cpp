@@ -58,7 +58,7 @@ void print_report(std::ostream& os, const Profiler& profiler,
   if (profiler.dropped_events() > 0) {
     os << "dropped events: " << profiler.dropped_events()
        << " (tid outside [0, " << profiler.options().max_threads
-       << ") — unregistered or overflowed threads; volumes undercount)\n";
+       << "); volumes undercount)\n";
   }
   if (profiler.communication_matrix().saturated()) {
     os << "saturated: one or more communication counters clamped at 2^62; "

@@ -188,7 +188,10 @@ TEST(CliErrors, MalformedFlagValueIsUsageError) {
 // event.
 TEST(CliErrors, MalformedOutputFlagFailsBeforeProfiling) {
   const std::string trace = "/tmp/commscope_cli_early.trace";
-  ASSERT_EQ(run_cli("run fft --scale=dev --threads=4 -q --save-trace=" + trace)
+  const std::string ck = "/tmp/commscope_cli_early.ck";
+  const std::string matrix = "/tmp/commscope_cli_early.matrix";
+  ASSERT_EQ(run_cli("run fft --scale=dev --threads=4 -q --save-trace=" + trace +
+                    " --checkpoint=" + ck)
                 .exit_code,
             0);
   for (const std::string& cmd :
@@ -202,7 +205,16 @@ TEST(CliErrors, MalformedOutputFlagFailsBeforeProfiling) {
       EXPECT_EQ(r.exit_code, 2) << cmd << flags << "\n" << r.output;
     }
   }
+  // resume has no profiling to precede, but the flag must still fail before
+  // the report and before --save-matrix writes anything.
+  std::remove(matrix.c_str());
+  const RunResult r = run_cli("resume " + ck + " --save-matrix=" + matrix +
+                              " --heatmaps=4294967297");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_FALSE(std::ifstream(matrix).good()) << "matrix written before exit 2";
   std::remove(trace.c_str());
+  std::remove(ck.c_str());
+  std::remove(matrix.c_str());
 }
 
 TEST(CliErrors, CorruptMatrixFileFailsWithDiagnostic) {
@@ -392,6 +404,16 @@ TEST(CliObservability, TopRunsToCompletion) {
   EXPECT_NE(r.output.find("commscope top"), std::string::npos);
   EXPECT_NE(r.output.find("events"), std::string::npos);
   EXPECT_NE(r.output.find("run complete:"), std::string::npos);
+}
+
+TEST(CliObservability, TopHonoursFaultPlanLikeRun) {
+  // top builds its stack from the same flags and $COMMSCOPE_FAULT as run:
+  // the injected kill fires, with no checkpoint to save.
+  const RunResult r = run_cli("top fft --threads=4 --interval=50",
+                              "COMMSCOPE_FAULT=kill-at-event:1000");
+  EXPECT_EQ(r.exit_code, 139) << r.output;  // 128 + SIGSEGV
+  EXPECT_NE(r.output.find("no snapshot saved"), std::string::npos)
+      << r.output;
 }
 
 TEST(CliObservability, TopConnectToDeadDaemonFails) {

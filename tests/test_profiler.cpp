@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <sstream>
 #include <thread>
 #include <vector>
 
 #include "core/phase.hpp"
 #include "core/profiler.hpp"
+#include "core/report.hpp"
 #include "core/thread_load.hpp"
 #include "instrument/loop_scope.hpp"
 
@@ -355,7 +357,7 @@ TEST(DependenceClassification, SignatureBackendApproximatesSameCensus) {
 
 // --- invalid-tid graceful degradation ---------------------------------------
 
-TEST(Profiler, DropsEventsFromUnregisteredAndOverflowTids) {
+TEST(Profiler, DropsEventsFromOutOfRangeTids) {
   for (const auto backend :
        {cc::Backend::kExact, cc::Backend::kAsymmetricSignature}) {
     cc::Profiler p(small_options(backend));
@@ -383,5 +385,12 @@ TEST(Profiler, DropsEventsFromUnregisteredAndOverflowTids) {
 TEST(Profiler, DroppedEventsSurfaceInReportProvenance) {
   cc::Profiler p(small_options(cc::Backend::kExact));
   p.on_access(-1, 0x1000, 8, ci::AccessKind::kWrite);
-  ASSERT_GT(p.dropped_events(), 0u);
+  p.on_access(8, 0x1000, 8, ci::AccessKind::kRead);
+  ASSERT_EQ(p.dropped_events(), 2u);
+  std::ostringstream report;
+  cc::print_report(report, p, {});
+  EXPECT_NE(report.str().find("dropped events: 2 (tid outside [0, 8); "
+                              "volumes undercount)\n"),
+            std::string::npos)
+      << report.str();
 }

@@ -5,9 +5,13 @@
 // KillMode::kThrow so a "crash" is a catchable exception.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,10 +20,13 @@
 #include "core/report.hpp"
 #include "instrument/loop_registry.hpp"
 #include "resilience/checkpoint.hpp"
+#include "resilience/crash_guard.hpp"
 #include "resilience/fault_injector.hpp"
 #include "resilience/guarded_sink.hpp"
 #include "resilience/resource_guard.hpp"
+#include "resilience/run_stack.hpp"
 #include "sigmem/exact_signature.hpp"
+#include "support/args.hpp"
 #include "support/atomic_file.hpp"
 #include "support/memtrack.hpp"
 #include "telemetry/metrics.hpp"
@@ -637,4 +644,174 @@ TEST(GuardedSink, FlushWritesPartialSnapshotMidRun) {
   EXPECT_EQ(ck.meta.state, "partial");
   EXPECT_EQ(ck.program().total(), 16u * 8u);
   std::remove(path.c_str());
+}
+
+// --- RunSpec / RunStack: flags to options, and the stack they build --------
+
+namespace {
+
+/// Sets $COMMSCOPE_FAULT (unsets it for nullptr) for one scope, then
+/// restores what was there: the no-PMU CI job sets it for the whole run.
+class ScopedFaultEnv {
+ public:
+  explicit ScopedFaultEnv(const char* value) {
+    if (const char* prior = std::getenv("COMMSCOPE_FAULT")) prior_ = prior;
+    set(value);
+  }
+  ~ScopedFaultEnv() { set(prior_.has_value() ? prior_->c_str() : nullptr); }
+  ScopedFaultEnv(const ScopedFaultEnv&) = delete;
+  ScopedFaultEnv& operator=(const ScopedFaultEnv&) = delete;
+
+ private:
+  static void set(const char* value) {
+    if (value != nullptr) {
+      ::setenv("COMMSCOPE_FAULT", value, 1);
+    } else {
+      ::unsetenv("COMMSCOPE_FAULT");
+    }
+  }
+  std::optional<std::string> prior_;
+};
+
+/// The spec `commscope run fft <flags>` profiles with, at `threads`.
+cr::RunSpec spec_of(std::vector<std::string> flags, int threads = 4) {
+  flags.insert(flags.begin(), {"run", "fft"});
+  return cr::RunSpec::from_flags(
+      cs::ArgParser(flags, {"classify", "sparse", "perf"}), threads);
+}
+
+}  // namespace
+
+TEST(RunStack, FromFlagsMapsEveryFlagAndItsDefault) {
+  const ScopedFaultEnv env(nullptr);
+  const cr::RunSpec d = spec_of({}, 6);
+  const cc::ProfilerOptions po;
+  EXPECT_EQ(d.profiler.max_threads, 6);
+  EXPECT_EQ(d.profiler.signature_slots, std::size_t{1} << 20);
+  EXPECT_EQ(d.profiler.signature_slots, po.signature_slots);
+  EXPECT_DOUBLE_EQ(d.profiler.fp_rate, 0.001);
+  EXPECT_EQ(d.profiler.backend, cc::Backend::kAsymmetricSignature);
+  EXPECT_FALSE(d.profiler.classify_dependences);
+  EXPECT_FALSE(d.profiler.sparse_region_matrices);
+  EXPECT_EQ(d.profiler.phase_window_bytes, 0u);
+  EXPECT_EQ(d.profiler.batch_size, 0u);
+  EXPECT_EQ(d.profiler.epoch_accesses, 0u);
+  EXPECT_EQ(d.profiler.epoch_millis, 0u);
+  EXPECT_EQ(d.profiler.epoch_ring, 0u);
+  EXPECT_FALSE(d.profiler.epoch_replay);
+  EXPECT_FALSE(d.profiler.perf);
+  EXPECT_EQ(d.guard.mem_budget_bytes, 0u);
+  EXPECT_EQ(d.guard.event_budget, 0u);
+  EXPECT_EQ(d.guard.check_interval, cr::GuardOptions{}.check_interval);
+  EXPECT_TRUE(d.sink.checkpoint_path.empty());
+  EXPECT_EQ(d.sink.checkpoint_every, 0u);
+  EXPECT_EQ(d.watchdog_seconds, 0.0);
+  EXPECT_FALSE(d.faults.has_value());
+
+  const cr::RunSpec s = spec_of(
+      {"--backend=exact", "--slots=4096", "--fp-rate=0.01", "--classify",
+       "--sparse", "--phases=65536", "--batch=64", "--epoch-every=1000",
+       "--epoch-ms=5", "--epoch-ring=100", "--perf", "--mem-budget=64K",
+       "--event-budget=1000", "--checkpoint=ck.bin", "--checkpoint-every=500",
+       "--timeout=0.5"});
+  EXPECT_EQ(s.profiler.max_threads, 4);
+  EXPECT_EQ(s.profiler.signature_slots, 4096u);
+  EXPECT_DOUBLE_EQ(s.profiler.fp_rate, 0.01);
+  EXPECT_EQ(s.profiler.backend, cc::Backend::kExact);
+  EXPECT_TRUE(s.profiler.classify_dependences);
+  EXPECT_TRUE(s.profiler.sparse_region_matrices);
+  EXPECT_EQ(s.profiler.phase_window_bytes, 65536u);
+  EXPECT_EQ(s.profiler.batch_size, 64u);
+  EXPECT_EQ(s.profiler.epoch_accesses, 1000u);
+  EXPECT_EQ(s.profiler.epoch_millis, 5u);
+  EXPECT_EQ(s.profiler.epoch_ring, 100u);
+  EXPECT_TRUE(s.profiler.perf);
+  EXPECT_EQ(s.guard.mem_budget_bytes, 64u * 1024u);
+  EXPECT_EQ(s.guard.event_budget, 1000u);
+  EXPECT_EQ(s.sink.checkpoint_path, "ck.bin");
+  EXPECT_EQ(s.sink.checkpoint_every, 500u);
+  EXPECT_DOUBLE_EQ(s.watchdog_seconds, 0.5);
+
+  // --checkpoint-every defaults only with a checkpoint file to write, but a
+  // malformed value fails either way.
+  EXPECT_EQ(spec_of({"--checkpoint=ck.bin"}).sink.checkpoint_every,
+            cr::kDefaultCheckpointEvery);
+  EXPECT_EQ(cr::kDefaultCheckpointEvery, 65536u);
+  EXPECT_EQ(spec_of({"--checkpoint-every=500"}).sink.checkpoint_every, 0u);
+  EXPECT_THROW(spec_of({"--checkpoint-every=x"}), std::invalid_argument);
+  EXPECT_THROW(spec_of({"--backend=exakt"}), std::invalid_argument);
+  EXPECT_THROW(spec_of({"--mem-budget=12Q"}), std::invalid_argument);
+  EXPECT_THROW(spec_of({"--batch=-1"}), std::invalid_argument);
+
+  const ScopedFaultEnv kill("kill-at-event:5");
+  const cr::RunSpec f = spec_of({});
+  ASSERT_TRUE(f.faults.has_value());
+  EXPECT_EQ(f.faults->kill_at_event, 5u);
+}
+
+TEST(RunStack, GuardedByAnyResilienceFeatureAndSinkFollows) {
+  const std::string ck = temp_path("run_spec_combo.ck");
+  // Bits 0-3 pick the flags that ask for the GuardedSink stack and bit 4 a
+  // fault plan; the profile flags and a --checkpoint-every with no file
+  // must not ask for it.
+  const std::string triggers[] = {"--mem-budget=1G", "--event-budget=1000000",
+                                  "--checkpoint=" + ck, "--timeout=100"};
+  for (unsigned mask = 0; mask < 32; ++mask) {
+    std::vector<std::string> flags = {"--slots=4096", "--batch=64",
+                                      "--epoch-every=1000",
+                                      "--checkpoint-every=100"};
+    for (unsigned bit = 0; bit < 4; ++bit) {
+      if ((mask & (1u << bit)) != 0) flags.push_back(triggers[bit]);
+    }
+    const ScopedFaultEnv env((mask & 16u) != 0 ? "kill-at-event:1000000000"
+                                               : nullptr);
+    const cr::RunSpec spec = spec_of(flags, 2);
+    EXPECT_EQ(spec.guarded(), mask != 0) << "mask " << mask;
+    {
+      cr::RunStack stack(spec);
+      const bool direct =
+          &stack.sink() == static_cast<ci::AccessSink*>(&stack.profiler());
+      EXPECT_EQ(direct, mask == 0) << "mask " << mask;
+      EXPECT_EQ(cr::CrashGuard::instance().armed(), mask != 0)
+          << "mask " << mask;
+    }
+    EXPECT_FALSE(cr::CrashGuard::instance().armed()) << "mask " << mask;
+  }
+  std::remove(ck.c_str());
+}
+
+TEST(RunStack, TelemetryOnlyFaultPlanAttachesNoInjector) {
+  // perf-open-fail is read by the perf engine alone; it must not turn on
+  // the gated path, here or when another flag builds the stack.
+  const ScopedFaultEnv env("perf-open-fail:1");
+  const cr::RunSpec plain = spec_of({});
+  EXPECT_FALSE(plain.faults.has_value());
+  EXPECT_FALSE(plain.guarded());
+  const cr::RunSpec timed = spec_of({"--timeout=100"});
+  EXPECT_FALSE(timed.faults.has_value());
+  EXPECT_TRUE(timed.guarded());
+
+  const ScopedFaultEnv mixed("perf-open-fail:1;kill-at-event:7");
+  const cr::RunSpec both = spec_of({});
+  ASSERT_TRUE(both.faults.has_value());
+  EXPECT_EQ(both.faults->kill_at_event, 7u);
+  EXPECT_TRUE(both.guarded());
+}
+
+TEST(RunStack, TeardownDisarmsAndCancelsTheWatchdog) {
+  const ScopedFaultEnv env(nullptr);
+  const cr::RunSpec spec = spec_of({"--slots=4096", "--timeout=0.2"}, 2);
+  for (int round = 0; round < 2; ++round) {
+    {
+      cr::RunStack stack(spec);
+      EXPECT_TRUE(cr::CrashGuard::instance().armed());
+      drive_pairs(stack.sink(), 64);
+      stack.sink().finalize();
+      EXPECT_EQ(stack.profiler().stats().dependencies, 64u);
+    }
+    EXPECT_FALSE(cr::CrashGuard::instance().armed()) << "round " << round;
+  }
+  // A watchdog left running would _exit(124) and take the test with it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  SUCCEED();
 }

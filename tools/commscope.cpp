@@ -23,8 +23,8 @@
 //       Read --metrics-out snapshots, merge them (counters/histograms sum,
 //       gauges take the max) and print the aggregate table.
 //   commscope top <workload> [run options] [--interval=MS]
-//       Run a workload with the guarded pipeline and refresh a live view of
-//       the profiler's own activity (events/s, memory, drops) while it runs.
+//       Run a workload and refresh a live view of the profiler's own
+//       activity (events/s, memory, drops) while it runs.
 //   commscope report <epochs-file> [--format=text|json|html] [--out=FILE]
 //       Render a recorded epoch timeline (--epochs-out / checkpoint sidecar)
 //       as a terminal summary, JSON document or self-contained HTML page.
@@ -94,7 +94,7 @@
 //   --pattern                   classify the program matrix
 //   --dvfs                      print a frequency plan (needs --phases)
 //
-// Resilience options for run/replay:
+// Resilience options for run/replay (resilience/run_stack.hpp maps them):
 //   --mem-budget=BYTES          profiler memory budget (K/M/G suffixes); on
 //                               breach the degradation ladder fires instead
 //                               of the run dying
@@ -104,8 +104,8 @@
 //   --checkpoint-every=N        events between snapshots (default 65536)
 //   --timeout=SEC               watchdog: dump the last snapshot and exit
 //                               124 after SEC seconds of wall clock
-// Deterministic faults for testing come from $COMMSCOPE_FAULT (see
-// resilience/fault_injector.hpp).
+// Deterministic faults for testing come from $COMMSCOPE_FAULT in run, replay
+// and top (see resilience/fault_injector.hpp).
 //
 // Exit codes: 0 success, 1 runtime failure (bad file, failed verification),
 // 2 usage error (unknown flag/command, malformed flag value), 3 a valid
@@ -140,10 +140,8 @@
 #include "patterns/classifier.hpp"
 #include "power/dvfs.hpp"
 #include "resilience/checkpoint.hpp"
-#include "resilience/crash_guard.hpp"
 #include "resilience/fault_injector.hpp"
-#include "resilience/guarded_sink.hpp"
-#include "resilience/resource_guard.hpp"
+#include "resilience/run_stack.hpp"
 #include "resilience/stress.hpp"
 #include "serve/server.hpp"
 #include "serve/shipper.hpp"
@@ -353,28 +351,6 @@ int write_observability_outputs(const cs::ArgParser& args, std::ostream& log) {
   return 0;
 }
 
-cc::ProfilerOptions profiler_options(const cs::ArgParser& args, int threads) {
-  cc::ProfilerOptions o;
-  o.max_threads = threads;
-  o.signature_slots = args.get_int_as<std::size_t>("slots", 1 << 20);
-  o.fp_rate = args.get_double_strict("fp-rate", 0.001);
-  const std::string backend = args.get("backend", "signature");
-  if (backend != "signature" && backend != "exact") {
-    throw std::invalid_argument("--backend: expected signature or exact");
-  }
-  o.backend = backend == "exact" ? cc::Backend::kExact
-                                 : cc::Backend::kAsymmetricSignature;
-  o.classify_dependences = args.has("classify");
-  o.sparse_region_matrices = args.has("sparse");
-  o.phase_window_bytes = args.get_int_as<std::uint64_t>("phases", 0);
-  o.batch_size = args.get_int_as<std::uint32_t>("batch", 0);
-  o.epoch_accesses = args.get_int_as<std::uint64_t>("epoch-every", 0);
-  o.epoch_millis = args.get_int_as<std::uint32_t>("epoch-ms", 0);
-  o.epoch_ring = args.get_int_as<std::uint32_t>("epoch-ring", 0);
-  o.perf = args.has("perf");
-  return o;
-}
-
 /// Writes the flight-recorder timeline when --epochs-out was given. Shared
 /// by run/replay/top; called after finalize so the last partial epoch has
 /// been sealed.
@@ -444,86 +420,16 @@ cs::Scale parse_scale(const std::string& s) {
   throw std::invalid_argument("--scale: expected dev, small or large");
 }
 
-/// The resilience stack wired around a profiler for one run/replay. Only
-/// materialized when a resilience flag (or $COMMSCOPE_FAULT) asks for it —
-/// a plain run keeps the exact event path it always had.
-struct ResilienceStack {
-  std::unique_ptr<cr::FaultInjector> injector;
-  std::unique_ptr<cr::ResourceGuard> guard;
-  std::unique_ptr<cr::GuardedSink> sink;
-  cs::MemoryTracker* observed = nullptr;
-  bool watchdog = false;
-
-  ResilienceStack() = default;
-  ResilienceStack(ResilienceStack&& o) noexcept
-      : injector(std::move(o.injector)),
-        guard(std::move(o.guard)),
-        sink(std::move(o.sink)),
-        observed(std::exchange(o.observed, nullptr)),
-        watchdog(std::exchange(o.watchdog, false)) {}
-  ResilienceStack& operator=(ResilienceStack&&) = delete;
-
-  ~ResilienceStack() {
-    if (observed != nullptr) observed->set_observer(nullptr);
-    if (sink != nullptr) {
-      cr::CrashGuard::instance().cancel_watchdog();
-      cr::CrashGuard::instance().disarm();
-    }
-  }
-};
-
-/// Builds the stack, or returns one with a null sink when no resilience
-/// feature was requested.
-ResilienceStack make_resilience(const cs::ArgParser& args,
-                                cc::Profiler& profiler) {
-  ResilienceStack stack;
-
-  cr::GuardOptions gopts;
-  gopts.mem_budget_bytes = args.get_bytes_strict("mem-budget", 0);
-  gopts.event_budget = args.get_int_as<std::uint64_t>("event-budget", 0);
-
-  cr::GuardedSink::Options sopts;
-  sopts.checkpoint_path = args.get("checkpoint", "");
-  sopts.checkpoint_every =
-      args.get_int_as<std::uint64_t>("checkpoint-every", 65536);
-  if (sopts.checkpoint_path.empty()) sopts.checkpoint_every = 0;
-
-  const double timeout = args.get_double_strict("timeout", 0.0);
-  const std::optional<cr::FaultPlan> plan = cr::FaultInjector::plan_from_env();
-
-  // plan->any() (not plan.has_value()): a COMMSCOPE_FAULT consisting only of
-  // telemetry-layer clauses (perf-open-fail — the no-PMU CI environment)
-  // must not wrap every run in the resilience stack.
-  const bool wanted = gopts.mem_budget_bytes != 0 || gopts.event_budget != 0 ||
-                      !sopts.checkpoint_path.empty() || timeout > 0.0 ||
-                      (plan.has_value() && plan->any());
-  if (!wanted) return stack;
-
-  if (plan.has_value()) {
-    stack.injector = std::make_unique<cr::FaultInjector>(*plan);
-    profiler.memory().set_observer(stack.injector.get());
-    stack.observed = &profiler.memory();
-  }
-  stack.guard = std::make_unique<cr::ResourceGuard>(
-      gopts, profiler, stack.injector.get());
-
-  cr::CrashGuard& crash = cr::CrashGuard::instance();
-  crash.arm(sopts.checkpoint_path);
-  if (timeout > 0.0) {
-    crash.start_watchdog(timeout);
-    stack.watchdog = true;
-  }
-  stack.sink = std::make_unique<cr::GuardedSink>(
-      profiler, stack.guard.get(), sopts, stack.injector.get(), &crash);
-  return stack;
-}
-
 /// Shared post-profiling output path for run/replay. The caller has already
-/// finalized the sink (which may write the final checkpoint). Non-essential
-/// prose goes to `log` (a null stream under --quiet); requested files are
-/// always written. `heatmaps` is --heatmaps, read before profiling.
+/// finalized the sink (which may write the final checkpoint) and timed the
+/// legs in `overhead`. Non-essential prose goes to `log` (a null stream under
+/// --quiet); requested files are always written. `heatmaps` and `session`
+/// are --heatmaps and --ship-session, read before profiling.
 int emit_results(const cs::ArgParser& args, int heatmaps,
+                 std::uint64_t session, ctl::SelfOverhead overhead,
                  cc::Profiler& profiler, int threads, std::ostream& log) {
+  overhead.profiler_peak_bytes = profiler.memory().peak();
+  overhead.rss_peak_bytes = ctl::peak_rss_bytes();
   cc::ReportOptions ropts;
   ropts.heatmap_top = heatmaps;
   ropts.hide_quiet_regions = true;
@@ -572,7 +478,11 @@ int emit_results(const cs::ArgParser& args, int heatmaps,
       log << "DVFS plan:\n" << plan.to_string();
     }
   }
-  return 0;
+  const int rc = write_epochs_output(args, profiler, log);
+  if (rc != 0) return rc;
+  maybe_ship_epochs(args, session, profiler, threads, log);
+  ctl::report_self_overhead(log, overhead);
+  return write_observability_outputs(args, log);
 }
 
 int cmd_list() {
@@ -600,11 +510,8 @@ int cmd_run(const cs::ArgParser& args) {
   const int heatmaps = args.get_int_as<int>("heatmaps", 0);
   const auto session = args.get_int_as<std::uint64_t>("ship-session", 0);
   maybe_enable_trace(args);
-  auto profiler = std::make_unique<cc::Profiler>(profiler_options(args, threads));
-  ResilienceStack resilience = make_resilience(args, *profiler);
-  ci::AccessSink* sink = resilience.sink != nullptr
-                             ? static_cast<ci::AccessSink*>(resilience.sink.get())
-                             : profiler.get();
+  cr::RunStack stack(cr::RunSpec::from_flags(args, threads));
+  ci::AccessSink& sink = stack.sink();
   ct::ThreadTeam team(threads);
 
   ctl::SelfOverhead overhead;
@@ -623,10 +530,10 @@ int cmd_run(const cs::ArgParser& args) {
     ci::write_trace(out, recorder.events());
     log << recorder.size() << " events written to " << args.get("save-trace")
         << "\n";
-    ci::replay(recorder.events(), *sink);  // replay() finalizes the sink itself
+    ci::replay(recorder.events(), sink);  // replay() finalizes the sink itself
   } else {
     ctl::ScopedSpan span(w->name.c_str(), ctl::SpanCat::kRun);
-    if (!w->run(scale, team, sink).ok) {
+    if (!w->run(scale, team, &sink).ok) {
       std::cerr << w->name << ": verification FAILED\n";
       return 1;
     }
@@ -634,7 +541,7 @@ int cmd_run(const cs::ArgParser& args) {
   overhead.instrumented_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  if (!args.has("save-trace")) sink->finalize();
+  if (!args.has("save-trace")) sink.finalize();
 
   // Self-measured Fig. 4 factor: re-run the same kernel against the
   // NullSink-compiled native twin. Skipped under --quiet (the paragraph
@@ -647,16 +554,8 @@ int cmd_run(const cs::ArgParser& args) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - n0)
             .count();
   }
-  overhead.profiler_peak_bytes = profiler->memory().peak();
-  overhead.rss_peak_bytes = ctl::peak_rss_bytes();
-
-  int rc = emit_results(args, heatmaps, *profiler, threads, log);
-  if (rc != 0) return rc;
-  rc = write_epochs_output(args, *profiler, log);
-  if (rc != 0) return rc;
-  maybe_ship_epochs(args, session, *profiler, threads, log);
-  ctl::report_self_overhead(log, overhead);
-  return write_observability_outputs(args, log);
+  return emit_results(args, heatmaps, session, overhead, stack.profiler(),
+                      threads, log);
 }
 
 int cmd_replay(const cs::ArgParser& args) {
@@ -675,7 +574,7 @@ int cmd_replay(const cs::ArgParser& args) {
   const auto session = args.get_int_as<std::uint64_t>("ship-session", 0);
   std::ostream& log = out_stream(args.has("quiet"));
   maybe_enable_trace(args);
-  cc::ProfilerOptions popts = profiler_options(args, threads);
+  cr::RunSpec spec = cr::RunSpec::from_flags(args, threads);
   // --epochs=N: re-slice the trace into N equal-access epochs. Replay is
   // single-threaded in trace order (micro-batches drain at tid switches), so
   // the recorder sees the identical global access/dependency order at any
@@ -687,23 +586,19 @@ int cmd_replay(const cs::ArgParser& args) {
     for (const ci::TraceEvent& e : events) {
       if (e.kind == ci::TraceEvent::Kind::kAccess) ++accesses;
     }
-    popts.epoch_accesses = std::max<std::uint64_t>(
+    spec.profiler.epoch_accesses = std::max<std::uint64_t>(
         1, (accesses + static_cast<std::uint64_t>(slices) - 1) /
                static_cast<std::uint64_t>(slices));
-    if (popts.epoch_ring == 0) {
-      popts.epoch_ring = static_cast<std::uint32_t>(std::min<std::int64_t>(
-          slices + 1, cc::kMaxEpochRing));
+    if (spec.profiler.epoch_ring == 0) {
+      spec.profiler.epoch_ring = static_cast<std::uint32_t>(
+          std::min<std::int64_t>(slices + 1, cc::kMaxEpochRing));
     }
-    popts.epoch_replay = true;
+    spec.profiler.epoch_replay = true;
   }
-  auto profiler = std::make_unique<cc::Profiler>(popts);
-  ResilienceStack resilience = make_resilience(args, *profiler);
-  ci::AccessSink* sink = resilience.sink != nullptr
-                             ? static_cast<ci::AccessSink*>(resilience.sink.get())
-                             : profiler.get();
+  cr::RunStack stack(spec);
   ctl::SelfOverhead overhead;
   const auto t0 = std::chrono::steady_clock::now();
-  ci::replay(events, *sink);  // replay() finalizes the sink itself
+  ci::replay(events, stack.sink());  // replay() finalizes the sink itself
   overhead.instrumented_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -711,20 +606,15 @@ int cmd_replay(const cs::ArgParser& args) {
   // slowdown factor is claimed), but the memory half of the self-overhead
   // contract holds — replay-produced metrics snapshots carry the same
   // self.* gauges run-produced ones do.
-  overhead.profiler_peak_bytes = profiler->memory().peak();
-  overhead.rss_peak_bytes = ctl::peak_rss_bytes();
   log << "replayed " << events.size() << " events\n";
-  int rc = emit_results(args, heatmaps, *profiler, threads, log);
-  if (rc != 0) return rc;
-  rc = write_epochs_output(args, *profiler, log);
-  if (rc != 0) return rc;
-  maybe_ship_epochs(args, session, *profiler, threads, log);
-  ctl::report_self_overhead(log, overhead);
-  return write_observability_outputs(args, log);
+  return emit_results(args, heatmaps, session, overhead, stack.profiler(),
+                      threads, log);
 }
 
 int cmd_resume(const cs::ArgParser& args) {
   if (args.positional().size() < 2) return usage();
+  // Read before any output: a bad value must exit 2 having written nothing.
+  const int top = args.get_int_as<int>("heatmaps", 0);
   const cr::Checkpoint ck = cr::load_checkpoint(args.positional()[1]);
 
   std::cout << "=== CommScope profile (resumed from snapshot) ===\n";
@@ -775,7 +665,6 @@ int cmd_resume(const cs::ArgParser& args) {
     std::cout << "detected pattern: " << cp::to_string(clf.predict(program))
               << "\n";
   }
-  const int top = args.get_int_as<int>("heatmaps", 0);
   if (top > 0 && program.total() > 0) {
     cs::print_heatmap(std::cout, program.cells(),
                       static_cast<std::size_t>(program.size()), "program");
@@ -904,8 +793,30 @@ int cmd_stress(const cs::ArgParser& args) {
   return ok ? rc : 1;
 }
 
-// Read one or more --metrics-out snapshots, merge them (counters and
-// histograms sum with saturation, gauges keep the max) and print the
+/// Merges the snapshot files named after the command into `merged`
+/// (counters and histograms sum with saturation, gauges keep the max). An
+/// unreadable or corrupt file is a runtime failure (1), not a usage error:
+/// the command line was fine, the file was not.
+int merge_snapshot_files(const cs::ArgParser& args,
+                         std::vector<ctl::MetricSnapshot>& merged) {
+  for (std::size_t i = 1; i < args.positional().size(); ++i) {
+    const std::string& file = args.positional()[i];
+    std::ifstream in(file);
+    if (!in) {
+      std::cerr << "cannot read " << file << "\n";
+      return 1;
+    }
+    try {
+      ctl::merge_metrics(merged, ctl::read_metrics(in));
+    } catch (const std::exception& e) {
+      std::cerr << "commscope: " << file << ": " << e.what() << "\n";
+      return 1;
+    }
+  }
+  return 0;
+}
+
+// Read one or more --metrics-out snapshots, merge them and print the
 // aggregate — the cross-run view of the profiler's self-accounting.
 int cmd_metrics(const cs::ArgParser& args) {
   if (args.positional().size() < 2) {
@@ -914,24 +825,7 @@ int cmd_metrics(const cs::ArgParser& args) {
     return usage();
   }
   std::vector<ctl::MetricSnapshot> merged;
-  for (std::size_t i = 1; i < args.positional().size(); ++i) {
-    const std::string& file = args.positional()[i];
-    std::ifstream in(file);
-    if (!in) {
-      std::cerr << "cannot read " << file << "\n";
-      return 1;
-    }
-    std::vector<ctl::MetricSnapshot> ms;
-    try {
-      ms = ctl::read_metrics(in);
-    } catch (const std::exception& e) {
-      // A corrupt snapshot is a runtime failure (exit 1), not a usage error:
-      // the command line was fine, the file was not.
-      std::cerr << "commscope: " << file << ": " << e.what() << "\n";
-      return 1;
-    }
-    ctl::merge_metrics(merged, ms);
-  }
+  if (merge_snapshot_files(args, merged) != 0) return 1;
   if (args.has("metrics-out")) {
     std::ofstream out(args.get("metrics-out"));
     if (!out) {
@@ -1083,16 +977,15 @@ int cmd_top(const cs::ArgParser& args) {
       std::max<std::int64_t>(20, args.get_int_strict("interval", 500)));
   maybe_enable_trace(args);
 
-  auto profiler =
-      std::make_unique<cc::Profiler>(profiler_options(args, threads));
-  cr::GuardedSink sink(*profiler, nullptr, {});
+  cr::RunStack stack(cr::RunSpec::from_flags(args, threads));
+  cc::Profiler& profiler = stack.profiler();
   ct::ThreadTeam team(threads);
 
   std::atomic<bool> done{false};
   cw::Result result;
   std::thread runner([&] {
     ctl::ScopedSpan span(w->name.c_str(), ctl::SpanCat::kRun);
-    result = w->run(scale, team, &sink);
+    result = w->run(scale, team, &stack.sink());
     done.store(true, std::memory_order_release);
   });
 
@@ -1111,7 +1004,7 @@ int cmd_top(const cs::ArgParser& args) {
     const double elapsed = std::chrono::duration<double>(now - t0).count();
     const double window =
         std::chrono::duration<double>(now - prev_time).count();
-    const std::uint64_t events = profiler->stats().accesses;
+    const std::uint64_t events = profiler.stats().accesses;
     const double rate =
         window > 0.0
             ? static_cast<double>(events - prev_events) / window
@@ -1126,15 +1019,13 @@ int cmd_top(const cs::ArgParser& args) {
               << args.get("scale", "dev") << ", " << threads << " threads)  t="
               << cs::Table::num(elapsed, 1) << "s\n"
               << clear << "  events " << events << "  (+"
-              << cs::Table::num(rate, 0) << "/s)  suppressed "
-              << sink.suppressed() << "  reentrant drops "
-              << sink.reentrant_drops() << "\n"
+              << cs::Table::num(rate, 0) << "/s)\n"
               << clear << "  profiler memory "
-              << cs::Table::bytes(profiler->memory_bytes()) << "  (peak "
-              << cs::Table::bytes(profiler->memory().peak()) << ")  RSS "
+              << cs::Table::bytes(profiler.memory_bytes()) << "  (peak "
+              << cs::Table::bytes(profiler.memory().peak()) << ")  RSS "
               << cs::Table::bytes(ctl::current_rss_bytes()) << "\n"
               << clear << "  dropped events "
-              << profiler->dropped_events() << "  degradations "
+              << profiler.dropped_events() << "  degradations "
               << ctl::counter("profiler.degradations").value() << "\n";
     std::cout.flush();
     painted_lines = 4;
@@ -1145,19 +1036,19 @@ int cmd_top(const cs::ArgParser& args) {
     std::this_thread::sleep_for(interval);
   }
   runner.join();
-  sink.finalize();
+  stack.sink().finalize();
   paint();  // final state, post-finalize
 
   if (!result.ok) {
     std::cerr << w->name << ": verification FAILED\n";
     return 1;
   }
-  const cc::ProfileStats stats = profiler->stats();
+  const cc::ProfileStats stats = profiler.stats();
   std::cout << "run complete: " << stats.accesses << " accesses, "
             << stats.dependencies << " inter-thread RAW dependencies, "
-            << cs::Table::bytes(profiler->communication_matrix().total())
+            << cs::Table::bytes(profiler.communication_matrix().total())
             << " communicated\n";
-  const int rc = write_epochs_output(args, *profiler, std::cout);
+  const int rc = write_epochs_output(args, profiler, std::cout);
   if (rc != 0) return rc;
   return write_observability_outputs(args, std::cout);
 }
@@ -1567,22 +1458,7 @@ int cmd_health(const cs::ArgParser& args) {
       return 1;
     }
   } else if (args.positional().size() >= 2) {
-    for (std::size_t i = 1; i < args.positional().size(); ++i) {
-      const std::string& file = args.positional()[i];
-      std::ifstream in(file);
-      if (!in) {
-        std::cerr << "cannot read " << file << "\n";
-        return 1;
-      }
-      std::vector<ctl::MetricSnapshot> ms;
-      try {
-        ms = ctl::read_metrics(in);
-      } catch (const std::exception& e) {
-        std::cerr << "commscope: " << file << ": " << e.what() << "\n";
-        return 1;
-      }
-      ctl::merge_metrics(merged, ms);
-    }
+    if (merge_snapshot_files(args, merged) != 0) return 1;
   } else {
     std::cerr << "health: expected snapshot files or --connect=SOCKET\n";
     return usage();
